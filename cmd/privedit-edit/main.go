@@ -13,11 +13,12 @@
 //	:show            print the document
 //	:ins <pos> <txt> insert text at position
 //	:del <pos> <n>   delete n characters at position
-//	:save            save (first save full, then incremental deltas)
+//	:save            save (first save full, then incremental deltas) and
+//	                 report whether it is durable or only saved locally
 //	:cipher          show what the server currently stores
 //	:stats           extension statistics
 //	:metrics         live telemetry snapshot (Prometheus text)
-//	:quit            exit
+//	:quit            push queued saves to the server (bounded wait) and exit
 //
 // Any other line is appended to the document. Run with -metrics-dump to
 // write the session's full metric catalog on exit, and with -trace-out to
@@ -27,6 +28,8 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +37,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"privedit/internal/core"
 	"privedit/internal/covert"
@@ -52,7 +56,7 @@ func main() {
 	mitigate := flag.Bool("mitigate", false, "enable covert-channel mitigations")
 	useStego := flag.Bool("stego", false, "store the document as word prose instead of Base32")
 	metricsDump := flag.String("metrics-dump", "", "on exit, write Prometheus text metrics to this path (\"-\" for stdout)")
-	resilient := flag.Bool("resilient", false, "enable the retry/backoff + circuit-breaker resilience stack")
+	resilient := flag.Bool("resilient", false, "retry failed round trips with jittered backoff")
 	retries := flag.Int("retries", 0, "with -resilient: max attempts per request (0 = default)")
 	tryTimeout := flag.Duration("try-timeout", 0, "with -resilient: per-attempt deadline (0 = none)")
 	traceOut := flag.String("trace-out", "", "append completed operation traces to this JSONL file (\"-\" for stderr)")
@@ -126,15 +130,40 @@ func main() {
 		line := scanner.Text()
 		if err := execute(client, ext, line); err != nil {
 			if err == errQuit {
-				return
+				break
 			}
 			fmt.Println("error:", err)
 		}
 		fmt.Print("> ")
 	}
+	closeSession(ext.Session(client.DocID()))
 }
 
 var errQuit = fmt.Errorf("quit")
+
+// quitFlush bounds how long :quit (or end of input) waits for queued
+// saves to reach the server.
+const quitFlush = 10 * time.Second
+
+// closeSession pushes the session's queued saves to the server, waiting
+// at most quitFlush, then closes it and reports any saves that never
+// reached the server.
+func closeSession(sess *mediator.Session) {
+	ctx, cancel := context.WithTimeout(context.Background(), quitFlush)
+	defer cancel()
+	if err := sess.Flush(ctx); errors.Is(err, context.DeadlineExceeded) {
+		fmt.Fprintf(os.Stderr, "privedit-edit: server did not take every save within %v\n", quitFlush)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "privedit-edit: %v\n", err)
+	}
+	if err := sess.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "privedit-edit: %v\n", err)
+	}
+}
+
+// saveWait is how long :save waits for the server before reporting the
+// save as local only.
+const saveWait = time.Second
 
 // openTraceOut resolves the -trace-out destination: a file path, or "-"
 // for stderr (stdout is the editor's interactive surface). The stderr
@@ -202,10 +231,14 @@ func execute(client *gdocs.Client, ext *mediator.Extension, line string) error {
 		if err := client.Save(); err != nil {
 			return err
 		}
-		if client.Degraded() {
-			fmt.Printf("queued locally (delta %q) — server unreachable, save drains on recovery\n", pending.String())
+		ctx, cancel := context.WithTimeout(context.Background(), saveWait)
+		defer cancel()
+		if err := ext.Session(client.DocID()).Flush(ctx); errors.Is(err, context.DeadlineExceeded) {
+			fmt.Printf("saved locally only (delta %q) — the server has not acknowledged it yet; it is pushed on recovery and on :quit\n", pending.String())
+		} else if err != nil {
+			return fmt.Errorf("not saved: %w", err)
 		} else {
-			fmt.Printf("saved (delta %q)\n", pending.String())
+			fmt.Printf("saved durably (delta %q)\n", pending.String())
 		}
 	case ":cipher":
 		ed := ext.Session(client.DocID()).Editor()
@@ -217,7 +250,7 @@ func execute(client *gdocs.Client, ext *mediator.Extension, line string) error {
 	case ":stats":
 		fmt.Printf("%+v\n", ext.Stats())
 		if ext.Session(client.DocID()).Degraded() {
-			fmt.Println("document is in degraded mode (breaker open or saves queued)")
+			fmt.Println("document is behind the server (round trips failing or saves queued)")
 		}
 	case ":metrics":
 		if !obs.Default.Enabled() {

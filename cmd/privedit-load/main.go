@@ -25,9 +25,12 @@
 //
 // Chaos mode (-chaos) switches to the fault-injection harness: sessions
 // run a fixed number of ops each (deterministic, see internal/bench
-// chaos.go) over a seeded netsim.FaultTransport while the mediator's
-// retry/breaker/degraded-mode stack absorbs the damage, then convergence
-// is verified per document and the run is written as BENCH_chaos.json:
+// chaos.go), each waiting for its durable ack, over a seeded
+// netsim.FaultTransport while the mediator's retries and writer backoff
+// absorb the damage, then convergence is verified per document and the
+// run is written as BENCH_chaos.json. The run fails if a document
+// diverged, a save was dropped, or the storm made fewer requests than
+// ops:
 //
 //	privedit-load -chaos -json BENCH_chaos.json
 //	privedit-load -chaos -ops 60 -fault-drop 0.1 -fault-5xx 0.08 \
@@ -66,7 +69,7 @@ func main() {
 	workers := flag.Int("workers", 0, "crypto worker bound (0 = GOMAXPROCS)")
 	reloadEvery := flag.Int("reload-every", 16, "every n-th op is a full document reload/decrypt (0 = deltas only)")
 	netScale := flag.Int("net-scale", 0, "enable netsim Broadband2009 delays divided by this factor (0 = off)")
-	inflight := flag.Int("inflight", 0, "pipelined async saves with this in-flight depth (0 = legacy synchronous path)")
+	inflight := flag.Int("inflight", 0, "per-document save queue depth (0 = mediator.DefaultInflight)")
 	minOpsSec := flag.Float64("min-ops-sec", 0, "fail the run if throughput falls below this floor (0 = no check)")
 	maxResyncs := flag.Int("max-conflict-resyncs", -1, "fail the run if conflict-driven full resyncs exceed this (-1 = no check)")
 	seed := flag.Int64("seed", 2011, "workload seed")
@@ -273,11 +276,9 @@ func main() {
 	fmt.Printf("  conflicts  %d version conflicts, %d errored ops\n", report.Conflicts, report.Errors)
 	fmt.Printf("  mediator   %d sessions, %d full encrypts, %d deltas, %d loads\n",
 		report.MediatorSessions, report.MediatorFullEncrypts, report.MediatorDeltas, report.MediatorLoads)
-	if *inflight > 0 {
-		fmt.Printf("  pipeline   depth=%d, %d queued saves (%d coalesced), %d OT merges, %d conflict resyncs, %d dropped\n",
-			report.Inflight, report.QueuedSaves, report.QueueCoalesced,
-			report.OTMerges, report.ConflictResyncs, report.DroppedSaves)
-	}
+	fmt.Printf("  pipeline   depth=%d, %d queued saves (%d coalesced), %d OT merges, %d conflict resyncs, %d dropped\n",
+		report.Inflight, report.QueuedSaves, report.QueueCoalesced,
+		report.OTMerges, report.ConflictResyncs, report.DroppedSaves)
 	if report.Watch != nil {
 		fmt.Printf("  watchdog   %d samples, max %d goroutines, max heap %.1f MiB\n",
 			report.Watch.Samples, report.Watch.MaxGoroutines,
@@ -356,9 +357,10 @@ func runChaos(cfg bench.ChaosConfig, jsonPath string) {
 		report.Ops, report.OpErrors, report.Reloads, report.DurationS)
 	fmt.Printf("  faults     %d/%d requests: %d drops, %d lost responses, %d 5xx, %d 429, %d timeouts, %d corruptions, %d jitter spikes\n",
 		f.Injected(), f.Requests, f.Drops, f.DropResponses, f.Errors5xx, f.Throttles, f.Timeouts, f.Corruptions, f.JitterSpikes)
-	fmt.Printf("  mediator   %d retries (%d giveups), %d breaker trips, %d degraded saves, %d degraded loads, %d drains\n",
-		report.Retries, report.RetryGiveups, report.BreakerTrips,
-		report.DegradedSaves, report.DegradedLoads, report.Drains)
+	fmt.Printf("  mediator   %d retries (%d giveups), %d degraded saves, %d degraded loads\n",
+		report.Retries, report.RetryGiveups, report.DegradedSaves, report.DegradedLoads)
+	fmt.Printf("  pipeline   %d queued saves, %d OT merges, %d conflict resyncs, %d dropped\n",
+		report.QueuedSaves, report.OTMerges, report.ConflictResyncs, report.DroppedSaves)
 	fmt.Printf("  converged  %d/%d docs\n", report.ConvergedDocs, report.ConvergedDocs+report.DivergedDocs)
 	printPhases(report.Phases)
 	if cfg.Trace && (report.Phases == nil || report.Phases.Empty()) {
@@ -366,8 +368,22 @@ func runChaos(cfg bench.ChaosConfig, jsonPath string) {
 		os.Exit(1)
 	}
 
+	failed := false
 	if report.DivergedDocs > 0 {
 		fmt.Fprintf(os.Stderr, "privedit-load: %d documents diverged after the storm\n", report.DivergedDocs)
+		failed = true
+	}
+	if report.DroppedSaves > 0 {
+		fmt.Fprintf(os.Stderr, "privedit-load: %d acknowledged saves were dropped\n", report.DroppedSaves)
+		failed = true
+	}
+	if f.Requests < report.Ops {
+		// Each op waits for its durable ack, so it crosses the storm at
+		// least once; fewer requests than ops means the faults hit nothing.
+		fmt.Fprintf(os.Stderr, "privedit-load: storm saw %d requests for %d ops\n", f.Requests, report.Ops)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 	if jsonPath == "" {

@@ -17,6 +17,7 @@ import (
 	"log"
 	"net/http/httptest"
 	"strings"
+	"time"
 
 	"privedit/internal/core"
 	"privedit/internal/covert"
@@ -51,6 +52,11 @@ func main() {
 	must(client.Save())
 
 	fmt.Printf("the user sees:   %q\n\n", client.Text())
+
+	// Saves ack locally; wait until the extension has pushed them all.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	must(ext.Session("tax-return").Flush(ctx))
 
 	stored, _, err := server.Content(context.Background(), "tax-return")
 	must(err)

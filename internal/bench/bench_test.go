@@ -195,9 +195,10 @@ func TestFunctionalityMatchesPaper(t *testing.T) {
 			t.Errorf("%s: encrypted=%s, want blocked", f, row.Encrypted)
 		}
 	}
-	// §VII-A: simultaneous editing leads to conflicts.
-	if row := get("simultaneous editing"); row.Encrypted != "conflicts" {
-		t.Errorf("simultaneous editing: encrypted=%s, want conflicts", row.Encrypted)
+	// §VII-A: simultaneous editing leads to conflicts; the extension's
+	// save queue merges them instead.
+	if row := get("simultaneous editing"); row.Plain != "conflicts" || row.Encrypted != "merges" {
+		t.Errorf("simultaneous editing: plain=%s encrypted=%s, want conflicts/merges", row.Plain, row.Encrypted)
 	}
 	if !strings.Contains(res.String(), "spell check") {
 		t.Error("Functionality String() malformed")

@@ -8,13 +8,18 @@
 // mediated session sees exactly what an independent decrypt of the stored
 // container yields.
 //
+// Every operation waits for its durable ack (Session.Flush) while the
+// faults are on. Saves ack locally and would otherwise coalesce and finish
+// before the storm reached them, so the faults would hit almost nothing.
+//
 // Determinism: sessions run a *fixed* number of operations (not a wall
 // clock window), each on its own document, and every fault decision is a
-// pure function of (seed, request shape, occurrence). The breaker runs
-// with a zero cooldown — every open state probes on the next request — so
-// no decision in the whole run depends on wall-clock time. Same seed →
-// byte-identical fault counts, ops, and error totals, which the chaos
-// tests pin.
+// pure function of (seed, request shape, occurrence). Because each
+// operation drains before the next begins, a document's request sequence
+// depends only on the (deterministic) fault sequence; the writer's
+// backoff changes when a retry happens, never which requests are made.
+// Same seed → byte-identical fault counts, ops, and error totals, which
+// the chaos tests pin.
 package bench
 
 import (
@@ -57,9 +62,8 @@ type ChaosConfig struct {
 	Seed int64
 	// Fault is the injected-fault profile. Zero rates mean a clean run.
 	Fault netsim.FaultProfile
-	// Resilience configures the mediator's retry/breaker stack. The zero
-	// value gets fast test-friendly defaults with a zero breaker cooldown
-	// (time-independent probing — see the package comment).
+	// Resilience configures the mediator's retry policy. The zero value
+	// gets fast test-friendly defaults.
 	Resilience mediator.Resilience
 	// Trace enables request-scoped tracing for the storm phase and adds a
 	// per-phase latency breakdown (including retry and resync time under
@@ -98,12 +102,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 			Seed:        c.Seed,
 		}
 	}
-	if c.Resilience.Breaker.TripAfter <= 0 {
-		// Cooldown 0 keeps the run time-independent: every request while
-		// open is a half-open probe, so breaker decisions depend only on
-		// the (deterministic) fault sequence.
-		c.Resilience.Breaker = mediator.BreakerPolicy{TripAfter: 3, Cooldown: 0, MaxCooldown: time.Second}
-	}
 	return c
 }
 
@@ -125,12 +123,14 @@ type ChaosReport struct {
 
 	Faults netsim.FaultStats `json:"faults"`
 
-	Retries       int `json:"mediator_retries"`
-	RetryGiveups  int `json:"mediator_retry_giveups"`
-	BreakerTrips  int `json:"mediator_breaker_trips"`
-	DegradedSaves int `json:"mediator_degraded_saves"`
-	DegradedLoads int `json:"mediator_degraded_loads"`
-	Drains        int `json:"mediator_drains"`
+	Retries         int `json:"mediator_retries"`
+	RetryGiveups    int `json:"mediator_retry_giveups"`
+	DegradedSaves   int `json:"mediator_degraded_saves"`
+	DegradedLoads   int `json:"mediator_degraded_loads"`
+	QueuedSaves     int `json:"queued_saves"`
+	OTMerges        int `json:"ot_merges"`
+	ConflictResyncs int `json:"conflict_resyncs"`
+	DroppedSaves    int `json:"dropped_saves"`
 
 	ConvergedDocs int `json:"converged_docs"`
 	DivergedDocs  int `json:"diverged_docs"`
@@ -198,6 +198,9 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		if err := c.Save(); err != nil {
 			return ChaosReport{}, fmt.Errorf("seed save doc %d: %w", d, err)
 		}
+		if err := flushDoc(ext, chaosDocID(d)); err != nil {
+			return ChaosReport{}, fmt.Errorf("seed flush doc %d: %w", d, err)
+		}
 	}
 
 	// The storm.
@@ -212,10 +215,14 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		go func(s int) {
 			defer wg.Done()
 			g := workload.NewGen(cfg.Seed + int64(s) + 1)
-			c := gdocs.NewClient(httpc, ts.URL, chaosDocID(s))
+			docID := chaosDocID(s)
+			c := gdocs.NewClient(httpc, ts.URL, docID)
 			if err := c.Load(); err != nil {
-				// Even the first load can be eaten by the storm; count it
-				// and keep going — later ops reload.
+				opErrors.Add(1)
+			}
+			// The load's catch-up is the session's first trip through
+			// the storm; a failed one is counted and later ops reload.
+			if err := flushDoc(ext, docID); err != nil {
 				opErrors.Add(1)
 			}
 			for op := 1; op <= cfg.OpsPerSession; op++ {
@@ -224,7 +231,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				if cfg.Trace {
 					var octx context.Context
 					octx, osp = trace.Default.Root(context.Background(), trace.SpanEditOp)
-					osp.Annotate("doc", chaosDocID(s))
+					osp.Annotate("doc", docID)
 					c.WithContext(octx)
 				}
 				var err error
@@ -236,6 +243,11 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 						err = c.Sync()
 					}
 				}
+				if err == nil {
+					// The durable ack: the op is done once the server holds
+					// it, so every save crosses the storm.
+					err = flushDoc(ext, docID)
+				}
 				osp.End()
 				if err != nil {
 					// Failed ops are the point of the exercise: reload (which
@@ -243,6 +255,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 					opErrors.Add(1)
 					c.WithContext(context.Background())
 					_ = c.Load()
+					_ = flushDoc(ext, docID)
 					continue
 				}
 				ops.Add(1)
@@ -256,10 +269,10 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	elapsed := time.Since(start)
 	faultStats := faults.Stats()
 
-	// Calm after the storm: drop the faults and let every session's queued
-	// degraded state drain, then verify convergence from three angles —
-	// a settled client, a completely fresh mediated session, and an
-	// independent decrypt of the container the server actually stores.
+	// Calm after the storm: drop the faults and let every session's queue
+	// drain, then verify convergence from three angles — a settled client,
+	// a completely fresh mediated session, and an independent decrypt of
+	// the container the server actually stores.
 	faults.SetEnabled(false)
 	converged, diverged := 0, 0
 	for s := 0; s < cfg.Sessions; s++ {
@@ -273,19 +286,25 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 			diverged++
 			continue
 		}
+		if err := flushDoc(ext, docID); err != nil {
+			diverged++
+			continue
+		}
 		stored, _, err := server.Content(context.Background(), docID)
 		if err != nil {
 			diverged++
 			continue
 		}
 		plain, err := core.DecryptWith("chaos-pw", stored, core.Options{})
-		if err != nil {
+		if err != nil || plain != settle.Text() {
 			diverged++
 			continue
 		}
 		fresh := mediator.New(ts.Client().Transport, mediator.StaticPassword("chaos-pw", core.Options{}))
 		fc := gdocs.NewClient(fresh.Client(), ts.URL, docID)
-		if err := fc.Load(); err != nil || fc.Text() != plain {
+		err = fc.Load()
+		_ = fresh.Session(docID).Close() // nothing queued: a load only
+		if err != nil || fc.Text() != plain {
 			diverged++
 			continue
 		}
@@ -308,12 +327,14 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 
 		Faults: faultStats,
 
-		Retries:       stats.Retries,
-		RetryGiveups:  stats.RetryGiveups,
-		BreakerTrips:  stats.BreakerTrips,
-		DegradedSaves: stats.DegradedSaves,
-		DegradedLoads: stats.DegradedLoads,
-		Drains:        stats.Drains,
+		Retries:         stats.Retries,
+		RetryGiveups:    stats.RetryGiveups,
+		DegradedSaves:   stats.DegradedSaves,
+		DegradedLoads:   stats.DegradedLoads,
+		QueuedSaves:     stats.QueuedSaves,
+		OTMerges:        stats.OTMerges,
+		ConflictResyncs: stats.ConflictResyncs,
+		DroppedSaves:    stats.DroppedSaves,
 
 		ConvergedDocs: converged,
 		DivergedDocs:  diverged,
@@ -326,6 +347,14 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 }
 
 func chaosDocID(s int) string { return fmt.Sprintf("chaos-doc-%d", s) }
+
+// flushDoc waits for docID's durable ack: every queued save on the server
+// and any pending catch-up folded in.
+func flushDoc(ext *mediator.Extension, docID string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return ext.Session(docID).Flush(ctx)
+}
 
 // ChaosArtifact is the BENCH_chaos.json document.
 type ChaosArtifact struct {

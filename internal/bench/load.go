@@ -58,8 +58,8 @@ type LoadConfig struct {
 	// delays by the given factor (e.g. 1000 for a fast smoke run). 0
 	// disables network simulation entirely.
 	NetScale int
-	// Inflight enables the pipelined save path with the given in-flight
-	// depth (mediator.WithPipeline). 0 keeps the legacy synchronous path.
+	// Inflight is the mediator's per-document save queue depth
+	// (mediator.WithPipeline); 0 selects mediator.DefaultInflight.
 	Inflight int
 	// Seed makes the workload reproducible.
 	Seed int64
@@ -95,6 +95,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.BlockChars <= 0 {
 		c.BlockChars = core.DefaultBlockChars
 	}
+	if c.Inflight <= 0 {
+		c.Inflight = mediator.DefaultInflight
+	}
 	return c
 }
 
@@ -126,7 +129,7 @@ type LoadReport struct {
 	MediatorPlainBytesIn   int `json:"mediator_plain_bytes_in"`
 	MediatorCipherBytesOut int `json:"mediator_cipher_bytes_out"`
 
-	// Pipelined-save counters (all zero on the legacy synchronous path).
+	// Save queue counters.
 	Inflight        int `json:"inflight"`
 	QueuedSaves     int `json:"queued_saves"`
 	QueueCoalesced  int `json:"queue_coalesced"`
@@ -188,11 +191,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		BlockChars: cfg.BlockChars,
 		Workers:    cfg.Workers,
 	}
-	var extOpts []mediator.Option
-	if cfg.Inflight > 0 {
-		extOpts = append(extOpts, mediator.WithPipeline(cfg.Inflight))
-	}
-	ext := mediator.New(transport, mediator.StaticPassword("load-pw", opts), extOpts...)
+	ext := mediator.New(transport, mediator.StaticPassword("load-pw", opts), mediator.WithPipeline(cfg.Inflight))
 	httpc := ext.Client()
 
 	// Latency percentiles come from the raw per-operation samples, not a
@@ -249,8 +248,8 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 				t0 := time.Now()
 				var err error
 				if reload {
-					// Fresh load: the mediator decrypts the whole document
-					// (the parallel Dec kernel for large docs).
+					// Reload: served from the mediator's local view, and
+					// nudges its writer to catch up with the server.
 					err = c.Load()
 				} else {
 					sp := g.Edit(c.Text(), workload.InsertsAndDeletes)
@@ -282,17 +281,15 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Pipelined mode: drain every queue before reading counters, so the
-	// report reflects acknowledged saves, not in-flight ones.
-	if cfg.Inflight > 0 {
-		flushCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		for d := 0; d < cfg.Docs; d++ {
-			if err := ext.Session(fmt.Sprintf("load-doc-%d", d)).Flush(flushCtx); err != nil {
-				errs.Add(1)
-			}
+	// Drain every queue before reading counters, so the report reflects
+	// acknowledged saves, not in-flight ones.
+	flushCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	for d := 0; d < cfg.Docs; d++ {
+		if err := ext.Session(fmt.Sprintf("load-doc-%d", d)).Flush(flushCtx); err != nil {
+			errs.Add(1)
 		}
-		cancel()
 	}
+	cancel()
 
 	var lat Sample
 	for _, sessionLat := range latSamples {

@@ -34,10 +34,12 @@ func chaosStorm(seed int64) netsim.FaultProfile {
 // TestChaosSharedDocConvergence is the tentpole end-to-end proof: two
 // concurrent sessions fight over ONE document through a resilient
 // extension while a seeded fault storm (>20% request failures) eats their
-// traffic — drops, lost responses, 5xx, 429, timeouts, corruption. After
-// the storm lifts and the queued state drains, both sessions, a fresh
-// mediated session, and an independent decrypt of the server's stored
-// container must all agree on the same plaintext. Run with -race.
+// traffic — drops, lost responses, 5xx, 429, timeouts, corruption. Every
+// op waits for its durable ack while the faults are on, so the storm
+// reaches every save. After the storm lifts and the queue drains, both
+// sessions, a fresh mediated session, and an independent decrypt of the
+// server's stored container must all agree on the same plaintext. Run
+// with -race.
 func TestChaosSharedDocConvergence(t *testing.T) {
 	profile := chaosStorm(20110615)
 	if profile.FailureRate() < 0.20 {
@@ -56,8 +58,7 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 	ext := mediator.New(faults,
 		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}),
 		mediator.WithResilience(mediator.Resilience{
-			Retry:   mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 1},
-			Breaker: mediator.BreakerPolicy{TripAfter: 3, Cooldown: 2 * time.Millisecond, MaxCooldown: 50 * time.Millisecond},
+			Retry: mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 1},
 		}))
 
 	const docID = "chaos-shared-doc"
@@ -69,6 +70,7 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 	if err := seed.Save(); err != nil {
 		t.Fatalf("seed save: %v", err)
 	}
+	flushDoc(t, ext, docID)
 
 	// The storm: two sessions edit concurrently through the same extension
 	// while >20% of requests fail.
@@ -95,6 +97,11 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 					// degraded view) and keep editing.
 					_ = c.Load()
 				}
+				// The durable ack: wait until the server holds the save.
+				if err := flushCtx(ext, docID); err != nil {
+					t.Errorf("session %d op %d: flush: %v", s, op, err)
+					return
+				}
 			}
 		}(s, clients[s])
 	}
@@ -107,9 +114,8 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 		storm.Requests, storm.Injected(), storm.Drops, storm.DropResponses,
 		storm.Errors5xx, storm.Throttles, storm.Timeouts, storm.Corruptions)
 
-	// Calm: lift the faults and let every session settle. The settle loop
-	// keeps issuing requests so the breaker can half-open and drain any
-	// queued degraded saves.
+	// Calm: lift the faults and let every session settle: push any
+	// unsaved edit and drain the queue.
 	faults.SetEnabled(false)
 	for s, c := range clients {
 		settled := false
@@ -117,10 +123,10 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 			if err := c.Sync(); err != nil {
 				_ = c.Load()
 			}
-			if !ext.Degraded(docID) && !c.Dirty() {
+			flushDoc(t, ext, docID)
+			if !ext.Session(docID).Degraded() && !c.Dirty() {
 				settled = true
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 		if !settled {
 			t.Fatalf("session %d never settled after the storm", s)
@@ -158,6 +164,7 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 	}
 
 	// (2) The server's stored ciphertext decrypts to exactly that text.
+	flushDoc(t, ext, docID)
 	stored, _, err := server.Content(context.Background(), docID)
 	if err != nil {
 		t.Fatalf("server content: %v", err)
@@ -203,8 +210,7 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 	ext := mediator.New(faults,
 		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}),
 		mediator.WithResilience(mediator.Resilience{
-			Retry:   mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 2},
-			Breaker: mediator.BreakerPolicy{TripAfter: 3, Cooldown: 0, MaxCooldown: 50 * time.Millisecond},
+			Retry: mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 2},
 		}))
 
 	const docs = 3
@@ -217,6 +223,7 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 		if err := c.Save(); err != nil {
 			t.Fatalf("seed %d: %v", d, err)
 		}
+		flushDoc(t, ext, fmt.Sprintf("storm-doc-%d", d))
 	}
 
 	faults.SetEnabled(true)
@@ -239,6 +246,10 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 				if err := c.Sync(); err != nil {
 					_ = c.Load()
 				}
+				if err := flushCtx(ext, docID); err != nil {
+					t.Errorf("doc %d op %d: flush: %v", d, op, err)
+					return
+				}
 			}
 		}(d)
 	}
@@ -248,15 +259,12 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 	for d := 0; d < docs; d++ {
 		docID := fmt.Sprintf("storm-doc-%d", d)
 		c := gdocs.NewClient(ext.Client(), ts.URL, docID)
-		settled := false
-		for attempt := 0; attempt < 20 && !settled; attempt++ {
-			if err := c.Load(); err == nil && !ext.Degraded(docID) {
-				settled = true
-			}
-			time.Sleep(2 * time.Millisecond)
+		if err := c.Load(); err != nil {
+			t.Fatalf("doc %d settle load: %v", d, err)
 		}
-		if !settled {
-			t.Fatalf("doc %d never settled", d)
+		flushDoc(t, ext, docID)
+		if ext.Session(docID).Degraded() {
+			t.Fatalf("doc %d still degraded after the storm", d)
 		}
 		finals[d] = c.Text()
 
@@ -279,5 +287,20 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 				t.Errorf("doc %d contains doc %d's marker: cross-document bleed under faults", d, other)
 			}
 		}
+	}
+}
+
+// flushCtx waits, bounded, for docID's queued saves to reach the server.
+func flushCtx(ext *mediator.Extension, docID string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	return ext.Session(docID).Flush(ctx)
+}
+
+// flushDoc is flushCtx for the test's own goroutine: a failure is fatal.
+func flushDoc(t *testing.T, ext *mediator.Extension, docID string) {
+	t.Helper()
+	if err := flushCtx(ext, docID); err != nil {
+		t.Fatalf("flush %s: %v", docID, err)
 	}
 }

@@ -72,12 +72,13 @@ func TestConcurrentSessionsDistinctDocs(t *testing.T) {
 		}
 	}
 
-	if got := ext.Sessions(); got != sessions {
+	if got := ext.SessionCount(); got != sessions {
 		t.Errorf("extension manages %d sessions, want %d", got, sessions)
 	}
 
 	for s := 0; s < sessions; s++ {
 		docID := fmt.Sprintf("own-doc-%d", s)
+		flushDoc(t, ext, docID)
 		// A completely fresh mediated session must see exactly what the
 		// writing session last had.
 		fresh := mediator.New(ts.Client().Transport,
@@ -208,6 +209,7 @@ func TestConcurrentSessionsSharedDoc(t *testing.T) {
 
 	// The plaintext view and the server's stored ciphertext must agree:
 	// decrypting the stored container independently gives the same text.
+	flushDoc(t, ext, docID)
 	stored, _, err := server.Content(context.Background(), docID)
 	if err != nil {
 		t.Fatalf("Content: %v", err)

@@ -6,7 +6,6 @@ package e2e
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -78,6 +77,7 @@ func TestFullStackLongSession(t *testing.T) {
 				t.Fatalf("final save: %v", err)
 			}
 			want := client.Text()
+			flushDoc(t, ext, "long-session")
 
 			// (a) no plaintext fragments at the server.
 			observed := server.Observed()
@@ -110,7 +110,9 @@ func TestFullStackLongSession(t *testing.T) {
 
 // TestSizeLimitInteraction reproduces the motivation for multi-character
 // blocks: with b=1 the 500 KB quota rejects a document that fits easily at
-// b=8 (§V-C: "this blow-up greatly limits the size of documents").
+// b=8 (§V-C: "this blow-up greatly limits the size of documents"). The
+// save acks locally either way; the server's refusal shows as a dropped
+// save once the queue drains.
 func TestSizeLimitInteraction(t *testing.T) {
 	server := gdocs.NewServer()
 	server.SetMaxBytes(64 * 1024) // scaled-down quota to keep the test fast
@@ -128,8 +130,20 @@ func TestSizeLimitInteraction(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	c1.SetText(text)
-	if err := c1.Save(); !errors.Is(err, gdocs.ErrTooLarge) {
-		t.Errorf("b=1 save of 8KB doc = %v, want ErrTooLarge", err)
+	if err := c1.Save(); err != nil {
+		t.Fatalf("b=1 save: %v", err)
+	}
+	// The save acks locally, but the server's quota refusal must fail the
+	// Flush: the edit is not durable, and saying so is the caller's only
+	// signal.
+	if err := flushCtx(ext1, "doc-b1"); err == nil || !strings.Contains(err.Error(), "413") {
+		t.Errorf("b=1 flush: %v, want the 413 quota refusal reported", err)
+	}
+	if st := ext1.Session("doc-b1").Stats(); st.Dropped == 0 || st.Saved != 0 {
+		t.Errorf("b=1 save of 8KB doc: stats %+v, want the server to refuse it", st)
+	}
+	if stored, _, err := server.Content(context.Background(), "doc-b1"); err != nil || stored != "" {
+		t.Errorf("b=1 doc stored %d chars (err %v), want none", len(stored), err)
 	}
 
 	// b=8: blowup ~3.6x -> ~29 KB container -> accepted.
@@ -141,7 +155,11 @@ func TestSizeLimitInteraction(t *testing.T) {
 	}
 	c8.SetText(text)
 	if err := c8.Save(); err != nil {
-		t.Errorf("b=8 save of 8KB doc = %v, want success", err)
+		t.Fatalf("b=8 save: %v", err)
+	}
+	flushDoc(t, ext8, "doc-b8")
+	if st := ext8.Session("doc-b8").Stats(); st.Dropped != 0 || st.Saved != 1 {
+		t.Errorf("b=8 save of 8KB doc: stats %+v, want it stored", st)
 	}
 }
 
@@ -175,6 +193,7 @@ func TestStegoOverDelayedNetwork(t *testing.T) {
 	if err := client.Save(); err != nil {
 		t.Fatalf("delta save: %v", err)
 	}
+	flushDoc(t, ext, "slow-doc")
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Errorf("network delays not applied: %v", elapsed)
 	}
@@ -276,6 +295,8 @@ func TestWrongSchemeContainersNeverConfused(t *testing.T) {
 			t.Fatalf("Save: %v", err)
 		}
 	}
+	flushDoc(t, extA, "recb-doc")
+	flushDoc(t, extB, "rpc-doc")
 	// The containers self-describe their scheme; Open picks it up.
 	for _, id := range []string{"recb-doc", "rpc-doc"} {
 		stored, _, err := server.Content(context.Background(), id)

@@ -14,9 +14,8 @@ import (
 // Admission control: the serving-path front door. Two gates, both
 // answering with a *retryable* rejection (Retry-After plus the
 // HeaderRetryable marker) rather than an opaque failure, because the
-// mediating extension already runs a backoff + circuit-breaker stack
-// that absorbs transient 429/503s — the server just has to speak that
-// language:
+// mediating extension already retries with backoff and absorbs
+// transient 429/503s — the server just has to speak that language:
 //
 //   - Rate limiting: one token bucket per client, refilled continuously
 //     at the configured rate. A client that outruns its bucket gets 429

@@ -100,8 +100,8 @@ func (c *Client) Dirty() bool {
 // Degraded reports whether the last successful save or load was served
 // locally by a degraded mediating extension (HeaderDegraded set) rather
 // than acknowledged by the server. A degraded save is queued inside the
-// extension and becomes durable only after the breaker closes and the
-// queue drains.
+// extension and becomes durable only once the server answers again and
+// the queue drains.
 func (c *Client) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

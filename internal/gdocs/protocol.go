@@ -55,7 +55,7 @@ const (
 	// version in the page).
 	HeaderDocVersion = "X-Doc-Version"
 	// HeaderDegraded marks a response the mediating extension synthesized
-	// locally while a document's circuit breaker was open: the save is
+	// locally while the document's round trips were failing: the save is
 	// queued, not yet durable on the server.
 	HeaderDegraded = "X-Privedit-Degraded"
 	// HeaderDeltas marks a GET /Doc response whose body is a form-encoded

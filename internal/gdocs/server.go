@@ -440,7 +440,7 @@ func (s *Server) featureReply(ctx context.Context, kind, docID string) (string, 
 // store operations. Requests pass admission control first: a draining
 // server and a client over its token-bucket rate both get a typed,
 // retryable rejection (Retry-After + HeaderRetryable) that the mediating
-// extension's backoff/breaker stack already knows how to absorb.
+// extension's retry backoff already knows how to absorb.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		rejectRetryable(w, http.StatusServiceUnavailable, time.Second, ErrDraining)

@@ -120,7 +120,7 @@ func TestPlaintextPkgsDerived(t *testing.T) {
 	// Derived members: none of these are in plaintextSeedPkgs; they are in
 	// the set only because the taint analysis proves plaintext reaches
 	// them. This is the drift hazard the derivation closes.
-	for _, p := range []string{"internal/bespin", "internal/buzzword", "internal/blockdoc", "internal/stego"} {
+	for _, p := range []string{"internal/bespin", "internal/buzzword", "internal/blockdoc"} {
 		if seed := plaintextSeedPkgs[p]; seed {
 			t.Errorf("%s is hand-seeded; this test needs it derived", p)
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"privedit/internal/core"
-	"privedit/internal/covert"
 	"privedit/internal/crypt"
 	"privedit/internal/gdocs"
 )
@@ -101,6 +100,7 @@ func TestAdmissionRetryHonored(t *testing.T) {
 	if err := client.Load(); err != nil {
 		t.Fatalf("load before throttling: %v", err)
 	}
+	flush(t, ext, "admission-doc")
 	gate.mu.Lock()
 	gate.rejectNext = 2
 	gate.mu.Unlock()
@@ -108,14 +108,12 @@ func TestAdmissionRetryHonored(t *testing.T) {
 	if err := client.Save(); err != nil {
 		t.Fatalf("save through admission gate: %v", err)
 	}
+	flush(t, ext, "admission-doc")
 	if got := ext.Stats().AdmissionRetries; got < 2 {
 		t.Errorf("AdmissionRetries = %d, want >= 2", got)
 	}
-	if err := client.Load(); err != nil {
-		t.Fatalf("load after admitted save: %v", err)
-	}
-	if text := client.Text(); text != "admitted eventually" {
-		t.Fatalf("load after admitted save: %q", text)
+	if got := decryptStored(t, server, "admission-doc", "hunter2", false); got != "admitted eventually" {
+		t.Fatalf("server text after admitted save: %q", got)
 	}
 }
 
@@ -143,8 +141,7 @@ func TestAdmissionRetriesExhausted(t *testing.T) {
 }
 
 // TestSessionHandle exercises the Session handle surface end to end:
-// DocID, Editor/Degraded/Stats before and after traffic, Flush, Close,
-// and the deprecated Extension-level accessors they replace.
+// DocID, Editor/Degraded/Stats before and after traffic, Flush, Close.
 func TestSessionHandle(t *testing.T) {
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
@@ -186,23 +183,20 @@ func TestSessionHandle(t *testing.T) {
 	if s.Editor() == nil {
 		t.Error("Editor nil after mediated save")
 	}
-	if ext.Editor("handle-doc") == nil { // deprecated path
-		t.Error("Extension.Editor nil after mediated save")
-	}
-	if s.Degraded() || ext.Degraded("handle-doc") {
-		t.Error("healthy session reported degraded")
-	}
 	if n := ext.SessionCount(); n != 1 {
 		t.Errorf("SessionCount = %d, want 1", n)
-	}
-	if n := ext.Sessions(); n != 1 { // deprecated alias
-		t.Errorf("Sessions() = %d, want 1", n)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {
 		t.Fatalf("Flush: %v", err)
+	}
+	if s.Degraded() {
+		t.Error("healthy flushed session reported degraded")
+	}
+	if st := s.Stats(); st.Saved != 1 || st.Pending != 0 || st.ServerVersion != 1 {
+		t.Errorf("Stats after flush = %+v", st)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -213,36 +207,5 @@ func TestSessionHandle(t *testing.T) {
 	// Closing an already-closed (or never-opened) session is a no-op.
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestNewWithMitigator covers the deprecated positional constructor, with
-// and without a mitigator.
-func TestNewWithMitigator(t *testing.T) {
-	server := gdocs.NewServer()
-	ts := httptest.NewServer(server)
-	t.Cleanup(ts.Close)
-	opts := core.Options{
-		Scheme:     core.ConfidentialityIntegrity,
-		BlockChars: 8,
-		Nonces:     crypt.NewSeededNonceSource(11),
-	}
-	mit := covert.New(covert.Config{CanonicalizeDeltas: true}, crypt.NewSeededNonceSource(12))
-	for name, m := range map[string]*covert.Mitigator{"nil": nil, "set": mit} {
-		ext := NewWithMitigator(ts.Client().Transport, StaticPassword("hunter2", opts), m)
-		client := gdocs.NewClient(ext.Client(), ts.URL, "mitigated-"+name)
-		if err := client.Create(); err != nil {
-			t.Fatalf("%s: create: %v", name, err)
-		}
-		client.SetText("covert-checked")
-		if err := client.Save(); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-		if err := client.Load(); err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		if text := client.Text(); text != "covert-checked" {
-			t.Fatalf("%s: load: %q", name, text)
-		}
 	}
 }

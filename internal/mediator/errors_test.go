@@ -125,6 +125,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	st := h.ext.Stats()
 	if st.PlainBytesIn != 12 {
 		t.Errorf("PlainBytesIn = %d, want 12", st.PlainBytesIn)

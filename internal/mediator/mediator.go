@@ -27,9 +27,9 @@ import (
 	"privedit/internal/covert"
 	"privedit/internal/crypt"
 	"privedit/internal/delta"
+	"privedit/internal/diff"
 	"privedit/internal/gdocs"
 	"privedit/internal/obs"
-	"privedit/internal/stego"
 	"privedit/internal/trace"
 )
 
@@ -83,8 +83,7 @@ func StaticPassword(password string, opts core.Options) PasswordProvider {
 // Stats counts what the extension did, for the evaluation harness. A
 // snapshot is internally consistent: every field is read under one lock,
 // so a reader never sees, say, a queued save whose queue-depth increment
-// is missing. (The old per-field atomics were racy as a *set* once the
-// async writer started mutating several fields per event.)
+// is missing.
 type Stats struct {
 	FullEncrypts      int // docContents saves encrypted
 	DeltasTransformed int // delta saves transformed
@@ -97,10 +96,8 @@ type Stats struct {
 	Retries          int // retry attempts beyond the first try
 	RetryGiveups     int // round trips that exhausted the retry budget
 	AdmissionRetries int // retries caused by typed admission rejects (429/503 + HeaderRetryable)
-	BreakerTrips  int // per-document breakers tripped open (closed→open)
-	DegradedSaves int // saves absorbed locally while the breaker was open
-	DegradedLoads int // loads served from local state while open
-	Drains        int // queued degraded saves successfully replayed
+	DegradedSaves    int // saves acknowledged while the document's writer was failing
+	DegradedLoads    int // loads served while the document's writer was failing
 
 	QueuedSaves     int // saves accepted into a per-document pipeline queue
 	QueueCoalesced  int // saves folded into the queue tail at max depth
@@ -110,17 +107,16 @@ type Stats struct {
 	DroppedSaves    int // queued saves abandoned after repeated rejection
 }
 
-// session is the per-document mediation state: one encryption editor plus
-// the lock that serializes mediation for that document. core.Editor is not
-// safe for concurrent use, and the editor's state must advance in the same
-// order the server applies the document's updates, so the lock is held
-// across the whole round trip — edits to the SAME document serialize
-// end-to-end, edits to DISTINCT documents proceed fully in parallel.
+// session is the per-document mediation state: the shadow encryption
+// editor, the save queue, and the lock that guards both. core.Editor is
+// not safe for concurrent use; the lock is never held across a network
+// round trip, so edits to one document ack locally while its writer
+// goroutine talks to the server, and distinct documents proceed fully in
+// parallel.
 type session struct {
-	mu  sync.Mutex
-	ed  *core.Editor // nil until first use
-	brk breakerState // circuit breaker + degraded-mode shadow (resilience.go)
-	pl  *plState     // pipelined save state, nil on the legacy sync path
+	mu sync.Mutex
+	ed *core.Editor // shadow editor tracking the server's acked lineage
+	pl *plState     // save queue and local view, nil until first touch
 }
 
 // Extension is the mediating extension. Install it as the Transport of the
@@ -131,8 +127,8 @@ type Extension struct {
 	passwords PasswordProvider
 	mitigator *covert.Mitigator
 	useStego  bool
-	res       *resilience // nil = legacy fail-fast mediation
-	pipeDepth int         // >0 = pipelined async saves, max queue depth
+	res       *resilience // nil = one attempt per round trip
+	pipeDepth int         // max per-document queue depth
 	saveToken uint64      // random per-extension idempotency-token prefix
 
 	mu       sync.RWMutex
@@ -162,17 +158,17 @@ func WithMitigator(m *covert.Mitigator) Option {
 	return func(e *Extension) { e.mitigator = m }
 }
 
-// DefaultInflight is the pipeline queue depth WithPipeline(0) selects.
+// DefaultInflight is the per-document queue depth New uses, and the one
+// WithPipeline(0) selects.
 const DefaultInflight = 4
 
-// WithPipeline switches save mediation from the legacy synchronous path
-// to pipelined asynchronous saves: updates are acknowledged locally and
-// enqueued into a per-document ordered queue that a writer goroutine
-// drains in the background, transforming each queued delta against any
-// server updates that interleaved (OT-first merge) instead of resyncing.
-// depth bounds the per-document queue (0 selects DefaultInflight); once
-// full, new saves coalesce into the queue tail so local editing never
-// blocks on a slow backend.
+// WithPipeline sets the per-document save queue depth (0 selects
+// DefaultInflight). Saves are acknowledged locally and queued; a writer
+// goroutine drains the queue in the background, transforming each queued
+// delta against any server updates that interleaved (OT-first merge).
+// Once the queue is full, new saves coalesce into its tail, so local
+// editing never blocks on a slow backend. Depth 1 sends one save at a
+// time, like a synchronous editor.
 func WithPipeline(depth int) Option {
 	return func(e *Extension) {
 		if depth <= 0 {
@@ -184,7 +180,7 @@ func WithPipeline(depth int) Option {
 
 // New builds an extension. base is the underlying transport (nil for
 // http.DefaultTransport). Covert-channel mitigation, stego encoding,
-// resilience, and save pipelining are all options.
+// resilience, and the save queue depth are options.
 func New(base http.RoundTripper, passwords PasswordProvider, opts ...Option) *Extension {
 	if base == nil {
 		base = http.DefaultTransport
@@ -192,6 +188,8 @@ func New(base http.RoundTripper, passwords PasswordProvider, opts ...Option) *Ex
 	e := &Extension{
 		base:      base,
 		passwords: passwords,
+		pipeDepth: DefaultInflight,
+		saveToken: crypt.CryptoNonceSource{}.Nonce64(),
 		sessions:  make(map[string]*session),
 	}
 	for _, opt := range opts {
@@ -199,20 +197,7 @@ func New(base http.RoundTripper, passwords PasswordProvider, opts ...Option) *Ex
 			opt(e)
 		}
 	}
-	if e.pipeDepth > 0 {
-		e.saveToken = crypt.CryptoNonceSource{}.Nonce64()
-	}
 	return e
-}
-
-// NewWithMitigator builds an extension with a positional mitigator.
-//
-// Deprecated: use New with the WithMitigator option.
-func NewWithMitigator(base http.RoundTripper, passwords PasswordProvider, mitigator *covert.Mitigator, opts ...Option) *Extension {
-	if mitigator != nil {
-		opts = append([]Option{WithMitigator(mitigator)}, opts...)
-	}
-	return New(base, passwords, opts...)
 }
 
 // Client returns an http.Client routed through the extension.
@@ -302,61 +287,6 @@ func (e *Extension) openEditorLocked(sess *session, docID, transport string) (*c
 	return ed, nil
 }
 
-// resyncLocked re-fetches the server's ciphertext and re-opens the
-// session's editor. It is called after a failed update mediation: by then
-// the editor may have advanced past a save the server rejected (a version
-// conflict from a concurrent session), and transforming the next delta
-// against diverged state would corrupt the stored ciphertext. Re-opening
-// before the session lock is released closes that window. On any failure
-// the editor is dropped instead, so the next load rebuilds it.
-// Callers must hold sess.mu.
-func (e *Extension) resyncLocked(sess *session, docID string, req *http.Request) {
-	_, _ = e.refetchLocked(sess, docID, req)
-}
-
-// refetchLocked is resyncLocked with the outcome reported: it returns the
-// server's current document version (for the drain path's optimistic
-// concurrency check) and any fetch/open error. The editor is dropped
-// first, so on failure the next load rebuilds it from the server.
-// Callers must hold sess.mu.
-func (e *Extension) refetchLocked(sess *session, docID string, req *http.Request) (int, error) {
-	sess.ed = nil
-	rctx, rsp := trace.Start(req.Context(), trace.SpanResync)
-	defer rsp.End()
-	u := *req.URL
-	u.Path = gdocs.PathDoc
-	u.RawQuery = url.Values{gdocs.FieldDocID: {docID}}.Encode()
-	resp, err := e.sendResilient(rctx, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	})
-	if err != nil {
-		return 0, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("mediator: resync fetch: status %d", resp.StatusCode)
-	}
-	version, _ := strconv.Atoi(resp.Header.Get(gdocs.HeaderDocVersion))
-	transport := string(raw)
-	if e.useStego && transport != "" {
-		if transport, err = stego.Decode(transport); err != nil {
-			return 0, err
-		}
-	}
-	if transport == "" {
-		// Empty document: nothing to open; the editor stays nil.
-		return version, nil
-	}
-	if _, err := e.openEditorLocked(sess, docID, transport); err != nil {
-		return 0, err
-	}
-	return version, nil
-}
-
 // synthesize builds a local response without touching the network.
 func synthesize(req *http.Request, status int, msg string) *http.Response {
 	return &http.Response{
@@ -372,16 +302,11 @@ func synthesize(req *http.Request, status int, msg string) *http.Response {
 	}
 }
 
-func replaceBody(resp *http.Response, body string) {
-	resp.Body = io.NopCloser(strings.NewReader(body))
-	resp.ContentLength = int64(len(body))
-	resp.Header.Del("Content-Length")
-}
-
 // RoundTrip mediates one request: the Go rendition of Figure 2's
 // onModifyRequest. It is safe for concurrent use; requests for distinct
 // documents are mediated in parallel, requests for the same document
-// serialize on that document's session.
+// serialize on that document's session lock, which no network round trip
+// holds once the session exists.
 func (e *Extension) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := req.Context().Err(); err != nil {
 		// Already cancelled or timed out: don't bother encrypting work the
@@ -438,10 +363,10 @@ func (e *Extension) mediateCreate(req *http.Request) (*http.Response, error) {
 	e.bump(func(s *Stats) { s.Passed++ })
 	metricOpPass.Inc()
 	resp, err := e.forward(req, form)
-	if err == nil && resp.StatusCode == http.StatusOK && e.pipeDepth > 0 {
-		// Pipelined mode: a successful create establishes the session's
-		// server lineage (empty document at version 0) up front, so the
-		// first save can already be queued and acknowledged locally.
+	if err == nil && resp.StatusCode == http.StatusOK {
+		// A successful create establishes the session's server lineage
+		// (empty document at version 0) up front, so the first save can
+		// already be queued and acknowledged locally.
 		sess.mu.Lock()
 		if sess.pl == nil {
 			e.pipeBootstrapLocked(sess, docID, req.URL, "", "", 0)
@@ -451,6 +376,14 @@ func (e *Extension) mediateCreate(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// mediateUpdate is the save ingest: validate against the mediator-owned
+// version, apply to the local view, enqueue, acknowledge — all without
+// touching the network. The session's writer goroutine (pipeline.go)
+// carries the save to the server in the background. Only the first touch
+// of a document waits on the server, to learn its lineage: a server
+// failure (5xx, transport error) there passes through as it does for a
+// load, while a document the server refuses (not found) is blocked — a
+// delta for it would otherwise go out as plaintext.
 func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 	form, err := readForm(req)
 	if err != nil {
@@ -462,86 +395,70 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 	op.Annotate("doc", docID)
 	req = req.WithContext(ctx)
 
-	if e.pipeDepth > 0 {
-		return e.pipeUpdate(req, op, form, docID)
-	}
-
-	// The session lock is held across the whole round trip, not just the
-	// crypto: the editor's ciphertext state must advance in the same order
-	// the server applies this document's updates, and releasing the lock
-	// between transform and forward would let a second writer interleave.
-	switch {
-	case form.Has(gdocs.FieldDocContents): // full update
-		sess := e.sessionFor(docID)
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		if e.gateLocked(sess, docID, req) {
-			return e.degradeUpdateLocked(sess, req, form)
+	sess := e.sessionFor(docID)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.pl == nil {
+		refused, err := e.pipeBootstrapFetchLocked(sess, docID, req)
+		if refused != nil && refused.StatusCode >= 500 || errors.Is(err, errUnreachable) {
+			// The server is failing, not refusing this document.
+			return refused, err
 		}
-		ed, err := e.editorLocked(sess, docID)
+		if refused != nil {
+			refused.Body.Close()
+			err = fmt.Errorf("bootstrap fetch: status %d", refused.StatusCode)
+		}
 		if err != nil {
 			return synthesize(req, http.StatusForbidden, "privedit: "+err.Error()), nil
 		}
-		content := form.Get(gdocs.FieldDocContents)
-		_, esp := trace.Start(ctx, trace.SpanEncrypt)
-		defer esp.End() // idempotent: backstop for the error returns below
-		sp := metricEncryptLatency.Start()
-		ctxt, err := ed.Encrypt(content)
-		if err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: encrypt: "+err.Error()), nil
-		}
-		if e.useStego {
-			if ctxt, err = stego.Encode(ctxt); err != nil {
-				return synthesize(req, http.StatusForbidden, "privedit: stego: "+err.Error()), nil
-			}
-		}
-		sp.EndExemplar(op.TraceID())
-		esp.End()
-		form.Set(gdocs.FieldDocContents, ctxt)
-		e.applyPadding(form, len(ctxt))
-		e.applyDelay()
-		e.bump(func(s *Stats) {
-			s.FullEncrypts++
-			s.PlainBytesIn += len(content)
-			s.CipherBytesOut += len(ctxt)
-		})
-		metricOpFull.Inc()
-		sctx, ssp := trace.Start(ctx, trace.SpanSave)
-		resp, err := e.mediateAck(req.WithContext(sctx), form)
-		ssp.End()
-		e.recordLocked(req.Context(), sess, !infraFailure(resp, err))
-		if err != nil || resp.StatusCode != http.StatusOK {
-			if resp != nil && resp.StatusCode == http.StatusConflict {
-				op.Annotate("conflict", "1")
-			}
-			e.resyncLocked(sess, docID, req)
-		}
-		return resp, err
+	}
+	pl := sess.pl
+	version, hasVersion := -1, form.Has(gdocs.FieldVersion)
+	if hasVersion {
+		version, _ = strconv.Atoi(form.Get(gdocs.FieldVersion))
+	}
+	degraded := pl.failStreak > 0
 
-	case form.Has(gdocs.FieldDelta): // incremental update
-		e.mu.RLock()
-		sess := e.sessions[docID]
-		e.mu.RUnlock()
-		if sess == nil {
-			return synthesize(req, http.StatusForbidden, "privedit: delta for unknown document"), nil
+	_, qsp := trace.Start(ctx, trace.SpanEnqueue)
+	defer qsp.End()
+
+	var ent *plEntry
+	switch {
+	case form.Has(gdocs.FieldDocContents):
+		content := form.Get(gdocs.FieldDocContents)
+		if hasVersion && version != pl.sv {
+			op.Annotate("conflict", "local")
+			metricVersionConflicts.Inc()
+			return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
 		}
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		if e.gateLocked(sess, docID, req) {
-			return e.degradeUpdateLocked(sess, req, form)
+		if content == pl.plain && (pl.srvTransport != "" || pl.sv > 0 || len(pl.queue) > 0) {
+			// No-op full save against established lineage: acknowledge the
+			// current version without queueing (a bump here would make the
+			// client's next delta conflict spuriously).
+			return e.pipeAck(req, pl, degraded), nil
 		}
-		ed := sess.ed
-		if ed == nil {
-			return synthesize(req, http.StatusForbidden, "privedit: delta for unknown document"), nil
+		if pl.srvTransport == "" && len(pl.queue) == 0 {
+			// Brand-new document: the first save must carry the full
+			// container to establish the server-side lineage.
+			ent = &plEntry{full: true, before: pl.plain, after: content}
+		} else {
+			ent = &plEntry{p: diff.Diff(pl.plain, content), before: pl.plain, after: content}
 		}
+		e.bump(func(s *Stats) { s.PlainBytesIn += len(content) })
+		pl.plain = content
+
+	case form.Has(gdocs.FieldDelta):
 		wire := form.Get(gdocs.FieldDelta)
-		_, tsp := trace.Start(ctx, trace.SpanTransform)
-		defer tsp.End() // idempotent: backstop for the error returns below
+		if hasVersion && version != pl.sv {
+			op.Annotate("conflict", "local")
+			metricVersionConflicts.Inc()
+			return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
+		}
 		pd, err := delta.Parse(wire)
 		if err != nil {
 			return synthesize(req, http.StatusForbidden, "privedit: bad delta: "+err.Error()), nil
 		}
-		// Coalesce bursts of adjacent edits before transforming: a run of k
+		// Coalesce bursts of adjacent edits before queueing: a run of k
 		// single-character insertions becomes one insert, so transform_delta
 		// performs one splice and emits one small ciphertext delta.
 		if before := len(pd); before > 1 {
@@ -551,160 +468,105 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 			}
 		}
 		if e.mitigator != nil {
-			pd, err = e.mitigator.CanonicalDelta(ed.Plaintext(), pd)
+			pd, err = e.mitigator.CanonicalDelta(pl.plain, pd)
 			if err != nil {
 				return synthesize(req, http.StatusForbidden, "privedit: canonicalize: "+err.Error()), nil
 			}
 		}
-		cd, err := ed.TransformDeltaOps(pd)
+		after, err := pd.Apply(pl.plain)
 		if err != nil {
-			// The usual cause is a delta computed against a stale plaintext
-			// (a concurrent session advanced the document); drop back to the
-			// server's state so later transforms stay aligned with it.
-			tsp.Annotate("error", "transform_delta")
-			tsp.End()
-			e.resyncLocked(sess, docID, req)
-			return synthesize(req, http.StatusForbidden, "privedit: transform_delta: "+err.Error()), nil
+			// Version matched but the delta does not fit the view it
+			// claims to target: surface it as a conflict so the client's
+			// recovery machinery reloads.
+			op.Annotate("conflict", "apply")
+			metricVersionConflicts.Inc()
+			return synthesize(req, http.StatusConflict, "privedit: delta does not apply: "+err.Error()), nil
 		}
-		if e.useStego {
-			if cd, err = stego.TransformDelta(cd); err != nil {
-				return synthesize(req, http.StatusForbidden, "privedit: stego: "+err.Error()), nil
-			}
-		}
-		tsp.End()
-		cwire := cd.String()
-		form.Set(gdocs.FieldDelta, cwire)
-		e.applyPadding(form, len(cwire))
-		e.applyDelay()
-		e.bump(func(s *Stats) {
-			s.DeltasTransformed++
-			s.PlainBytesIn += len(wire)
-			s.CipherBytesOut += len(cwire)
-		})
-		metricOpDelta.Inc()
-		metricDeltaPlainBytes.Add(int64(len(wire)))
-		metricDeltaCipherBytes.Add(int64(len(cwire)))
-		sctx, ssp := trace.Start(ctx, trace.SpanSave)
-		resp, err := e.mediateAck(req.WithContext(sctx), form)
-		ssp.End()
-		e.recordLocked(req.Context(), sess, !infraFailure(resp, err))
-		if err != nil || resp.StatusCode != http.StatusOK {
-			if resp != nil && resp.StatusCode == http.StatusConflict {
-				op.Annotate("conflict", "1")
-			}
-			e.resyncLocked(sess, docID, req)
-		}
-		return resp, err
+		ent = &plEntry{p: pd, before: pl.plain, after: after}
+		e.bump(func(s *Stats) { s.PlainBytesIn += len(wire) })
+		pl.plain = after
 
 	default:
 		e.bump(func(s *Stats) { s.Blocked++ })
 		metricOpBlocked.Inc()
 		return synthesize(req, http.StatusForbidden, "privedit: unrecognized update"), nil
 	}
+
+	pl.sv++
+	if ent.p != nil {
+		pl.recordHistLocked(ent.p.String())
+	} else {
+		pl.clearHistLocked()
+	}
+	e.enqueueLocked(sess, ent)
+	e.bump(func(s *Stats) {
+		s.QueuedSaves++
+		if degraded {
+			s.DegradedSaves++
+		}
+	})
+	metricOpQueued.Inc()
+	if degraded {
+		op.Annotate("degraded", "save")
+		metricDegradedSave.Inc()
+	}
+	return e.pipeAck(req, pl, degraded), nil
 }
 
-// mediateAck forwards an update and blanks the content echo in the Ack:
-// "the client works flawlessly when the values are replaced with an empty
-// string for contentFromServer, and 0 for contentFromServerHash" (§IV-A).
-func (e *Extension) mediateAck(req *http.Request, form url.Values) (*http.Response, error) {
-	resp, err := e.forward(req, form)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp, nil
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("mediator: read ack: %w", err)
-	}
-	ack, err := gdocs.ParseAck(string(raw))
-	if err != nil {
-		return nil, fmt.Errorf("mediator: parse ack: %w", err)
-	}
-	ack.ContentFromServer = ""
-	ack.ContentFromServerHash = 0
-	replaceBody(resp, ack.Encode())
-	return resp, nil
-}
-
-// mediateLoad forwards a document load and decrypts the returned container
-// so the client application renders plaintext.
+// mediateLoad serves a document load from the session's local view. The
+// first load of a document fetches and decrypts the server's container
+// (a refusal such as not-found passes through unmodified, and so does the
+// transport error of a server that never answers); after that the
+// local plaintext is authoritative — it already folds every queued save
+// — so the response never waits on the network. On a quiet session the
+// writer goroutine is nudged to fetch and fold in whatever other
+// extensions wrote meanwhile, which a later load observes; holding a
+// round trip under the session lock here is exactly the stall the queue
+// exists to remove.
 func (e *Extension) mediateLoad(req *http.Request) (*http.Response, error) {
 	docID := req.URL.Query().Get(gdocs.FieldDocID)
 	ctx, op := trace.Start(req.Context(), trace.SpanMediateLoad)
 	defer op.End()
 	op.Annotate("doc", docID)
 	req = req.WithContext(ctx)
-	if e.pipeDepth > 0 {
-		return e.pipeLoad(req, op, docID)
-	}
-	if q := req.URL.Query(); q.Has(gdocs.FieldSince) {
-		// The synchronous path decrypts whole containers; a delta catch-up
-		// response would be ciphertext deltas it cannot serve. Ask the
-		// server for full content instead.
-		u2 := *req.URL
-		q.Del(gdocs.FieldSince)
-		u2.RawQuery = q.Encode()
-		req.URL = &u2
-	}
-	// The session lock must cover the fetch itself, not just the decrypt:
-	// re-opening the editor from a snapshot that predates a concurrent save
-	// would silently rewind the mediation state behind the server's back.
+
 	sess := e.sessionFor(docID)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if e.gateLocked(sess, docID, req) {
-		return e.degradeLoadLocked(sess, req)
-	}
-	lctx, lsp := trace.Start(ctx, trace.SpanLoad)
-	defer lsp.End() // idempotent: backstop for the error returns below
-	resp, err := e.sendResilient(lctx, func(ctx context.Context) (*http.Request, error) {
-		return req.Clone(ctx), nil
-	})
-	e.recordLocked(ctx, sess, !infraFailure(resp, err))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp, nil
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("mediator: read load: %w", err)
-	}
-	lsp.End()
-	transport := string(raw)
-	_, dsp := trace.Start(ctx, trace.SpanDecrypt)
-	defer dsp.End() // idempotent: backstop for the error returns below
-	sp := metricDecryptLatency.Start()
-	if e.useStego && transport != "" {
-		decoded, err := stego.Decode(transport)
-		if err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: stego decode: "+err.Error()), nil
+	if sess.pl == nil {
+		refused, err := e.pipeBootstrapFetchLocked(sess, docID, req)
+		if refused != nil || errors.Is(err, errUnreachable) {
+			return refused, err
 		}
-		transport = decoded
-	}
-	if transport == "" {
-		// Brand-new document: nothing to decrypt, but the session needs
-		// fresh encryption state.
-		if _, err := e.editorLocked(sess, docID); err != nil {
+		if err != nil {
 			return synthesize(req, http.StatusForbidden, "privedit: "+err.Error()), nil
 		}
-		replaceBody(resp, "")
-		return resp, nil
 	}
-	ed, err := e.openEditorLocked(sess, docID, transport)
-	if err != nil {
-		return synthesize(req, http.StatusForbidden, "privedit: open: "+err.Error()), nil
+	pl := sess.pl
+	if len(pl.queue) == 0 && !pl.inflight {
+		pl.catchup = true
+		kick(pl.wake)
 	}
-	sp.EndExemplar(op.TraceID())
-	dsp.End()
-	e.bump(func(s *Stats) { s.LoadsDecrypted++ })
-	metricOpLoad.Inc()
-	replaceBody(resp, ed.Plaintext())
+	var resp *http.Response
+	if s := req.URL.Query().Get(gdocs.FieldSince); s != "" {
+		if since, err := strconv.Atoi(s); err == nil {
+			if wires, ok := pl.deltasSinceLocked(since); ok {
+				cu := gdocs.Catchup{Deltas: wires, Version: pl.sv}
+				resp = synthesize(req, http.StatusOK, cu.Encode())
+				resp.Header.Set(gdocs.HeaderDeltas, "1")
+			}
+		}
+	}
+	if resp == nil {
+		resp = synthesize(req, http.StatusOK, pl.plain)
+	}
+	resp.Header.Set(gdocs.HeaderDocVersion, strconv.Itoa(pl.sv))
+	if pl.failStreak > 0 {
+		op.Annotate("degraded", "load")
+		resp.Header.Set(gdocs.HeaderDegraded, "1")
+		e.bump(func(s *Stats) { s.DegradedLoads++ })
+		metricDegradedLoad.Inc()
+	}
 	return resp, nil
 }
 

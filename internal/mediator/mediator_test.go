@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"privedit/internal/core"
 	"privedit/internal/covert"
@@ -37,6 +38,18 @@ func newHarness(t *testing.T, scheme core.Scheme, mit *covert.Mitigator) *harnes
 	ext := New(ts.Client().Transport, StaticPassword("hunter2", opts), WithMitigator(mit))
 	client := gdocs.NewClient(ext.Client(), ts.URL, "private-doc")
 	return &harness{server: server, ts: ts, ext: ext, client: client}
+}
+
+// flush waits until ext has carried every queued save of docID to the
+// server; a test reads server state or opens a second extension only
+// after it.
+func flush(t *testing.T, ext *Extension, docID string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := ext.Session(docID).Flush(ctx); err != nil {
+		t.Fatalf("flush %s: %v", docID, err)
+	}
 }
 
 // assertNoLeak fails if any fragment of plaintext reached the server.
@@ -80,6 +93,7 @@ func TestEndToEndEditingSession(t *testing.T) {
 			}
 
 			want := h.client.Text()
+			flush(t, h.ext, "private-doc")
 			// Server stores only ciphertext.
 			stored, _, err := h.server.Content(context.Background(), "private-doc")
 			if err != nil {
@@ -116,6 +130,7 @@ func TestLoadDecryptsForNewSession(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 
 	// A second session (fresh extension, same password) loads the doc.
 	opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(777)}
@@ -140,6 +155,7 @@ func TestLoadDecryptsForNewSession(t *testing.T) {
 	if err := client2.Save(); err != nil { // delta
 		t.Fatalf("delta save: %v", err)
 	}
+	flush(t, ext2, "private-doc")
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
 		t.Fatalf("content: %v", err)
@@ -162,6 +178,7 @@ func TestWrongPasswordOnLoad(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	opts := core.Options{Scheme: core.ConfidentialityIntegrity, Nonces: crypt.NewSeededNonceSource(1)}
 	extWrong := New(h.ts.Client().Transport, StaticPassword("not the password", opts))
 	clientWrong := gdocs.NewClient(extWrong.Client(), h.ts.URL, "private-doc")
@@ -181,6 +198,7 @@ func TestUnknownRequestsBlocked(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	for _, path := range []string{gdocs.PathTranslate, gdocs.PathSpell, gdocs.PathDrawing, gdocs.PathExport} {
 		if _, err := h.client.Feature(path); !errors.Is(err, gdocs.ErrBlocked) {
 			t.Errorf("feature %s = %v, want ErrBlocked", path, err)
@@ -220,6 +238,7 @@ func TestTamperedContainerRejectedOnLoad(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
 		t.Fatalf("content: %v", err)
@@ -272,6 +291,7 @@ func TestMaliciousClientDeltaCanonicalized(t *testing.T) {
 	if _, err := h.client.SaveRawDelta(mal); err != nil {
 		t.Fatalf("SaveRawDelta: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
 		t.Fatalf("content: %v", err)
@@ -310,6 +330,7 @@ func TestPaddingFieldIgnoredByServer(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save with padding: %v", err)
 	}
+	flush(t, h.ext, "private-doc")
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
 		t.Fatalf("content: %v", err)
@@ -338,10 +359,13 @@ func TestPerDocumentEditors(t *testing.T) {
 	if err := c2.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if h.ext.Editor("doc-a") == nil || h.ext.Editor("doc-b") == nil {
+	flush(t, h.ext, "doc-a")
+	flush(t, h.ext, "doc-b")
+	edA, edB := h.ext.Session("doc-a").Editor(), h.ext.Session("doc-b").Editor()
+	if edA == nil || edB == nil {
 		t.Fatal("missing per-document editors")
 	}
-	if h.ext.Editor("doc-a") == h.ext.Editor("doc-b") {
+	if edA == edB {
 		t.Error("documents share an editor")
 	}
 	sA, _, _ := h.server.Content(context.Background(), "doc-a")
@@ -366,6 +390,7 @@ func TestCollaborationThroughSharedPassword(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, h.ext, "private-doc")
 
 	// Friend with the right password: reads fine.
 	opts := core.Options{Scheme: core.ConfidentialityIntegrity, Nonces: crypt.NewSeededNonceSource(2)}

@@ -1,26 +1,26 @@
-// Pipelined asynchronous saves (WithPipeline): the OT-first redesign of
-// the save path.
+// The save queue: how the extension carries saves to the server.
 //
-// The legacy path holds the session lock across the whole round trip and
-// resolves every server-side version conflict by refetching and
-// re-opening the container — under concurrent sessions that meant 41% of
-// operations paid a full resync. This path decouples the client from the
-// server instead:
+// The client never waits on the server. The extension keeps the
+// document's plaintext view and its own version (sv), and a per-document
+// writer goroutine talks to the server in the background:
 //
-//   - Saves are validated against a mediator-owned version (sv), applied
-//     to the local plaintext view, acknowledged immediately, and pushed
-//     onto a per-document ordered queue.
-//   - One writer goroutine per document drains the queue: it transforms
-//     the head entry into a ciphertext delta against the shadow editor
-//     (which tracks the server's acked lineage), sends it with an
-//     idempotency token, and advances the server-state mirrors on ack.
+//   - Saves are validated against sv, applied to the local plaintext
+//     view, acknowledged immediately, and pushed onto a per-document
+//     ordered queue (mediator.go's mediateUpdate).
+//   - The writer drains the queue: it transforms the head entry into a
+//     ciphertext delta against the shadow editor (which tracks the
+//     server's acked lineage), sends it with an idempotency token, and
+//     advances the server-state mirrors on ack.
 //   - A rejected save (version conflict) is repaired by fetching the
 //     server's missed deltas (GET /Doc?since=V), replaying them onto the
 //     server-space mirror, re-opening the shadow from it, and rebasing
 //     the whole queue over the remote diff with delta.Transform — the
 //     inclusion transformation whose TP1 property the delta package
-//     verifies. Only when that bridge fails does the writer fall back to
-//     the legacy full resync.
+//     verifies. Only when that bridge fails does the writer collapse the
+//     queue into one full-content save.
+//   - A failed round trip (transport error, 5xx, 429) starts a failure
+//     streak: the writer backs off, new saves keep acking locally with
+//     the degraded header, and the queue drains once the server answers.
 //
 // Operational transformation over ciphertext deltas directly would be
 // unsound — a ciphertext delta rewrites the container's prefix and
@@ -47,9 +47,9 @@ import (
 	"privedit/internal/trace"
 )
 
-// metricVersionConflicts joins the gdocs server's conflict series: in
-// pipelined mode the mediator rejects stale-version saves locally, so its
-// rejections must count in the same place the harness reads.
+// metricVersionConflicts joins the gdocs server's conflict series: the
+// mediator rejects stale-version saves locally, so its rejections must
+// count in the same place the harness reads.
 var metricVersionConflicts = obs.NewCounter("privedit_version_conflicts_total",
 	"Optimistic-concurrency rejections: the client's base version no longer matched the stored one.")
 
@@ -73,7 +73,8 @@ type plEntry struct {
 	sentPlain     string // shadow plaintext after this save applies
 }
 
-// plState is the pipelined half of a session, guarded by session.mu.
+// plState is a session's local view and save queue, guarded by
+// session.mu.
 type plState struct {
 	baseURL *url.URL // scheme+host of the backing server
 
@@ -91,9 +92,18 @@ type plState struct {
 	queue    []*plEntry
 	inflight bool // head entry is currently being sent
 	rejects  int  // consecutive permanent (non-conflict) rejections
+	refused  int  // status of the refusal that last dropped the queue
+	reported int  // stats.Dropped already reported by Flush or Close
 	closed   bool
 	catchup  bool   // an idle load asked the writer to fold in server changes
+	fetching bool   // the writer is fetching an idle catch-up
 	seq      uint64 // save-id counter
+
+	// failStreak counts the writer's consecutive failed round trips; the
+	// document is degraded while it is positive. retryAt is when the
+	// writer may try again.
+	failStreak int
+	retryAt    time.Time
 
 	// hist mirrors the server's catch-up protocol in version space sv: the
 	// plaintext delta behind each recent version bump, so a client whose
@@ -104,6 +114,7 @@ type plState struct {
 	histBytes int
 
 	wake chan struct{}   // buffered(1): kicks the writer
+	done chan struct{}   // closed by Close; ends any writer wait
 	idle []chan struct{} // Flush waiters, closed when the queue drains
 
 	stats SessionStats
@@ -175,7 +186,7 @@ type SessionStats struct {
 	OTMerges        int  // conflicts repaired by transforming the queue
 	ConflictResyncs int  // conflicts that fell back to a full resync
 	Dropped         int  // queue entries abandoned after repeated rejection
-	Degraded        bool // breaker open or saves still queued
+	Degraded        bool // writer failing or saves still queued
 	LocalVersion    int  // version the client sees (sv)
 	ServerVersion   int  // last server-acknowledged version
 }
@@ -187,7 +198,7 @@ func (e *Extension) nextSaveIDLocked(pl *plState) string {
 	return fmt.Sprintf("%016x-%d", e.saveToken, pl.seq)
 }
 
-// pipeBootstrapLocked installs pipelined state for a session whose server
+// pipeBootstrapLocked installs the queue state for a session whose server
 // lineage is known (mirror at version), and starts its writer goroutine.
 // Callers hold sess.mu.
 func (e *Extension) pipeBootstrapLocked(sess *session, docID string, u *url.URL, mirror, plain string, version int) {
@@ -202,14 +213,23 @@ func (e *Extension) pipeBootstrapLocked(sess *session, docID string, u *url.URL,
 		srvTransport: mirror,
 		srvVersion:   version,
 		wake:         make(chan struct{}, 1),
+		done:         make(chan struct{}),
 	}
 	go e.writerLoop(sess, docID)
 }
 
+// errUnreachable marks a bootstrap fetch that never got an answer from
+// the server: the round trip or the body read failed. Callers pass it
+// through as a transport error rather than a synthesized refusal, so a
+// network outage never looks like the extension blocking the request.
+var errUnreachable = errors.New("mediator: server unreachable")
+
 // pipeBootstrapFetchLocked bootstraps a session from the server's current
-// state: fetch, decode, open the shadow editor, install plState. Callers
-// hold sess.mu.
-func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *http.Request) error {
+// state: fetch, decode, open the shadow editor, install plState. When the
+// server refuses the fetch (not found, say) its response comes back
+// unread as refused and the session stays unbootstrapped; a fetch with
+// no answer fails with errUnreachable. Callers hold sess.mu.
+func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *http.Request) (refused *http.Response, err error) {
 	lctx, lsp := trace.Start(req.Context(), trace.SpanLoad)
 	defer lsp.End()
 	u := *req.URL
@@ -218,24 +238,23 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	resp, err := e.sendResilient(lctx, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	})
-	e.recordLocked(lctx, sess, !infraFailure(resp, err))
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("%w: %w", errUnreachable, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp, nil
 	}
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("mediator: bootstrap fetch: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("%w: read: %w", errUnreachable, err)
 	}
 	version, _ := strconv.Atoi(resp.Header.Get(gdocs.HeaderDocVersion))
 	mirror := string(raw)
 	transport := mirror
 	if e.useStego && transport != "" {
 		if transport, err = stego.Decode(transport); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	var plain string
@@ -245,7 +264,7 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 		ed, err := e.openEditorLocked(sess, docID, transport)
 		if err != nil {
 			dsp.End()
-			return err
+			return nil, err
 		}
 		sp.End()
 		dsp.End()
@@ -255,120 +274,11 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	} else {
 		// Empty document: fresh encryption state for the first save.
 		if _, err := e.editorLocked(sess, docID); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	e.pipeBootstrapLocked(sess, docID, req.URL, mirror, plain, version)
-	return nil
-}
-
-// pipeUpdate is the pipelined save ingest: validate against the
-// mediator-owned version, apply to the local view, enqueue, acknowledge —
-// all without touching the network.
-func (e *Extension) pipeUpdate(req *http.Request, op *trace.Span, form url.Values, docID string) (*http.Response, error) {
-	sess := e.sessionFor(docID)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.pl == nil {
-		if err := e.pipeBootstrapFetchLocked(sess, docID, req); err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: "+err.Error()), nil
-		}
-	}
-	pl := sess.pl
-	version, hasVersion := -1, form.Has(gdocs.FieldVersion)
-	if hasVersion {
-		version, _ = strconv.Atoi(form.Get(gdocs.FieldVersion))
-	}
-	degraded := e.res != nil && sess.brk.state == brkOpen
-
-	_, qsp := trace.Start(req.Context(), trace.SpanEnqueue)
-	defer qsp.End()
-
-	var ent *plEntry
-	switch {
-	case form.Has(gdocs.FieldDocContents):
-		content := form.Get(gdocs.FieldDocContents)
-		if hasVersion && version != pl.sv {
-			op.Annotate("conflict", "local")
-			metricVersionConflicts.Inc()
-			return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
-		}
-		if content == pl.plain && (pl.srvTransport != "" || pl.sv > 0 || len(pl.queue) > 0) {
-			// No-op full save against established lineage: acknowledge the
-			// current version without queueing (a bump here would make the
-			// client's next delta conflict spuriously).
-			return e.pipeAck(req, pl, degraded), nil
-		}
-		if pl.srvTransport == "" && len(pl.queue) == 0 {
-			// Brand-new document: the first save must carry the full
-			// container to establish the server-side lineage.
-			ent = &plEntry{full: true, before: pl.plain, after: content}
-		} else {
-			ent = &plEntry{p: diff.Diff(pl.plain, content), before: pl.plain, after: content}
-		}
-		e.bump(func(s *Stats) { s.PlainBytesIn += len(content) })
-		pl.plain = content
-
-	case form.Has(gdocs.FieldDelta):
-		wire := form.Get(gdocs.FieldDelta)
-		if hasVersion && version != pl.sv {
-			op.Annotate("conflict", "local")
-			metricVersionConflicts.Inc()
-			return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
-		}
-		pd, err := delta.Parse(wire)
-		if err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: bad delta: "+err.Error()), nil
-		}
-		if before := len(pd); before > 1 {
-			pd = pd.Coalesce()
-			if dropped := before - len(pd); dropped > 0 {
-				metricDeltaOpsCoalesced.Add(int64(dropped))
-			}
-		}
-		if e.mitigator != nil {
-			pd, err = e.mitigator.CanonicalDelta(pl.plain, pd)
-			if err != nil {
-				return synthesize(req, http.StatusForbidden, "privedit: canonicalize: "+err.Error()), nil
-			}
-		}
-		after, err := pd.Apply(pl.plain)
-		if err != nil {
-			// Version matched but the delta does not fit the view it
-			// claims to target: surface it as a conflict so the client's
-			// recovery machinery reloads.
-			op.Annotate("conflict", "apply")
-			metricVersionConflicts.Inc()
-			return synthesize(req, http.StatusConflict, "privedit: delta does not apply: "+err.Error()), nil
-		}
-		ent = &plEntry{p: pd, before: pl.plain, after: after}
-		e.bump(func(s *Stats) { s.PlainBytesIn += len(wire) })
-		pl.plain = after
-
-	default:
-		e.bump(func(s *Stats) { s.Blocked++ })
-		metricOpBlocked.Inc()
-		return synthesize(req, http.StatusForbidden, "privedit: unrecognized update"), nil
-	}
-
-	pl.sv++
-	if ent.p != nil {
-		pl.recordHistLocked(ent.p.String())
-	} else {
-		pl.clearHistLocked()
-	}
-	e.enqueueLocked(sess, ent)
-	e.bump(func(s *Stats) {
-		s.QueuedSaves++
-		if degraded {
-			s.DegradedSaves++
-		}
-	})
-	metricOpQueued.Inc()
-	if degraded {
-		metricDegradedSave.Inc()
-	}
-	return e.pipeAck(req, pl, degraded), nil
+	return nil, nil
 }
 
 // pipeAck synthesizes the local save acknowledgment.
@@ -427,57 +337,15 @@ func (e *Extension) enqueueLocked(sess *session, ent *plEntry) {
 	pl.stats.Enqueued++
 	e.bump(func(s *Stats) { s.QueueDepth++ })
 	metricQueueDepth.Add(1)
-	select {
-	case pl.wake <- struct{}{}:
-	default:
-	}
+	kick(pl.wake)
 }
 
-// pipeLoad serves a document load from the pipelined view. The local
-// plaintext is authoritative — it already folds every queued save — so
-// the response never waits on the network. On a quiet session the writer
-// goroutine is nudged to fetch and fold in whatever other extensions
-// wrote meanwhile, which a later load observes; holding a round trip
-// under the session lock here is exactly the stall the pipeline exists
-// to remove.
-func (e *Extension) pipeLoad(req *http.Request, op *trace.Span, docID string) (*http.Response, error) {
-	sess := e.sessionFor(docID)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.pl == nil {
-		if err := e.pipeBootstrapFetchLocked(sess, docID, req); err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: "+err.Error()), nil
-		}
+// kick wakes the writer goroutine without blocking.
+func kick(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
 	}
-	pl := sess.pl
-	degraded := e.res != nil && sess.brk.state != brkClosed
-	if len(pl.queue) == 0 && !pl.inflight && !degraded {
-		pl.catchup = true
-		select {
-		case pl.wake <- struct{}{}:
-		default:
-		}
-	}
-	resp := (*http.Response)(nil)
-	if s := req.URL.Query().Get(gdocs.FieldSince); s != "" {
-		if since, err := strconv.Atoi(s); err == nil {
-			if wires, ok := pl.deltasSinceLocked(since); ok {
-				cu := gdocs.Catchup{Deltas: wires, Version: pl.sv}
-				resp = synthesize(req, http.StatusOK, cu.Encode())
-				resp.Header.Set(gdocs.HeaderDeltas, "1")
-			}
-		}
-	}
-	if resp == nil {
-		resp = synthesize(req, http.StatusOK, pl.plain)
-	}
-	resp.Header.Set(gdocs.HeaderDocVersion, strconv.Itoa(pl.sv))
-	if degraded {
-		resp.Header.Set(gdocs.HeaderDegraded, "1")
-		e.bump(func(s *Stats) { s.DegradedLoads++ })
-		metricDegradedLoad.Inc()
-	}
-	return resp, nil
 }
 
 // fetchServerState retrieves the server's current container, preferring
@@ -738,12 +606,24 @@ func notifyIdleLocked(pl *plState) {
 	pl.idle = nil
 }
 
-// maybeNotifyIdleLocked releases Flush waiters only at full quiescence:
-// nothing queued, nothing in flight, and no catch-up pending — Flush is a
-// barrier against the session's whole pipeline, not just the save queue.
+// idleLocked reports full quiescence: nothing queued, nothing in flight,
+// and no catch-up pending or still fetching — Flush is a barrier against
+// the session's whole pipeline, not just the save queue. Callers hold
+// sess.mu.
+func (pl *plState) idleLocked() bool {
+	return len(pl.queue) == 0 && !pl.inflight && !pl.catchup && !pl.fetching
+}
+
+// degradedLocked reports whether the session is behind the server: the
+// writer is failing or saves are still queued. Callers hold sess.mu.
+func (pl *plState) degradedLocked() bool {
+	return pl.failStreak > 0 || len(pl.queue) > 0 || pl.inflight
+}
+
+// maybeNotifyIdleLocked releases Flush waiters once the session is idle.
 // Callers hold sess.mu.
 func maybeNotifyIdleLocked(pl *plState) {
-	if len(pl.queue) == 0 && !pl.inflight && !pl.catchup {
+	if pl.idleLocked() {
 		notifyIdleLocked(pl)
 	}
 }
@@ -829,8 +709,8 @@ func (e *Extension) transformEntryLocked(ctx context.Context, sess *session, doc
 	return nil
 }
 
-// writerBackoff is the writer's own failure backoff, used when the
-// breaker is not (yet) gating: 5ms doubling to a 1s ceiling.
+// writerBackoff is the writer's pause after its streak-th consecutive
+// failed round trip: 5ms doubling to a 1s ceiling.
 func writerBackoff(streak int) time.Duration {
 	d := 5 * time.Millisecond
 	for i := 1; i < streak && d < time.Second; i++ {
@@ -842,14 +722,25 @@ func writerBackoff(streak int) time.Duration {
 	return d
 }
 
-// waitOrWake sleeps for d, returning early if the session is kicked
-// (new save enqueued, or closed).
-func waitOrWake(wake chan struct{}, d time.Duration) {
+// noteLocked feeds one writer round trip's outcome into the failure
+// streak: success clears it, a failure extends it and moves the retry
+// deadline one backoff step out. Callers hold sess.mu.
+func (pl *plState) noteLocked(ok bool) {
+	if ok {
+		pl.failStreak = 0
+		return
+	}
+	pl.failStreak++
+	pl.retryAt = time.Now().Add(writerBackoff(pl.failStreak))
+}
+
+// waitOrWake sleeps for d, returning early if stop fires.
+func waitOrWake(stop <-chan struct{}, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-wake:
+	case <-stop:
 	}
 }
 
@@ -858,13 +749,15 @@ func waitOrWake(wake chan struct{}, d time.Duration) {
 // mutation of the server-state mirrors. It exits when the session is
 // closed.
 func (e *Extension) writerLoop(sess *session, docID string) {
-	var failStreak int
 	for {
 		sess.mu.Lock()
 		pl := sess.pl
 		for len(pl.queue) == 0 && !pl.catchup && !pl.closed {
 			sess.mu.Unlock()
-			<-pl.wake
+			select {
+			case <-pl.wake:
+			case <-pl.done:
+			}
 			sess.mu.Lock()
 		}
 		if pl.closed {
@@ -872,29 +765,30 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			sess.mu.Unlock()
 			return
 		}
-		if e.res != nil && sess.brk.state == brkOpen {
-			wait := sess.brk.reopenAt.Sub(e.res.now())
-			if wait > 0 {
-				sess.mu.Unlock()
-				waitOrWake(pl.wake, wait)
-				continue
-			}
-			// Cooldown over: the head save doubles as the half-open probe.
-			e.transitionLocked(context.Background(), &sess.brk, brkHalfOpen)
+		if wait := time.Until(pl.retryAt); pl.failStreak > 0 && wait > 0 {
+			// Back off after a failure. Only Close cuts the wait short: a
+			// new save just joins the queue, so a dead server sees one
+			// attempt per backoff step, not one per keystroke.
+			sess.mu.Unlock()
+			waitOrWake(pl.done, wait)
+			continue
 		}
 		if len(pl.queue) == 0 {
 			// An idle load asked for a catch-up: fetch the server's state
 			// without the lock, then fold it into the local lineage. Saves
 			// enqueued during the fetch are fine — repairLocked rebases
 			// whatever the queue holds, and only this goroutine moves the
-			// server mirrors.
-			pl.catchup = false
+			// server mirrors. fetching keeps Flush waiting until the fold
+			// is done, so the client cannot save against a version the
+			// repair is about to bump.
+			pl.catchup, pl.fetching = false, true
 			since, mirror0, baseURL := pl.srvVersion, pl.srvTransport, pl.baseURL
 			sess.mu.Unlock()
 			cctx := context.Background()
 			mirror, version, _, err := e.fetchServerState(cctx, baseURL, docID, since, mirror0)
 			sess.mu.Lock()
-			e.recordLocked(cctx, sess, err == nil)
+			pl.fetching = false
+			pl.noteLocked(err == nil)
 			if !pl.closed && err == nil && version != pl.srvVersion {
 				_ = e.repairLocked(cctx, sess, docID, mirror, version)
 			}
@@ -932,48 +826,40 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 		sctx, ssp := trace.Start(ctx, trace.SpanSave)
 		resp, err := e.postForm(sctx, baseURL, gdocs.PathDoc, form, saveID)
 		ssp.End()
+		fail := infraFailure(resp, err)
 		status, ackVersion := 0, -1
 		if err == nil {
 			status = resp.StatusCode
 			raw, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if rerr != nil {
-				err = rerr
+				fail = true
 			} else if status == http.StatusOK {
 				if ack, aerr := gdocs.ParseAck(string(raw)); aerr == nil {
 					ackVersion = ack.Version
 				} else {
-					err = aerr
+					fail = true
 				}
 			}
 		}
-		fail := err != nil || retryableStatus(status)
 
 		sess.mu.Lock()
 		pl.inflight = false
-		e.recordLocked(ctx, sess, !fail)
+		pl.noteLocked(!fail)
 		switch {
 		case pl.closed:
 			// Closed mid-flight: do not touch the (cleared) queue.
 			root.End()
 			sess.mu.Unlock()
-			continue
 
 		case fail:
-			failStreak++
 			root.Annotate("outcome", "infra_failure")
+			root.AnnotateInt("fail_streak", int64(pl.failStreak))
 			root.End()
-			gated := e.res != nil && sess.brk.state == brkOpen
 			sess.mu.Unlock()
-			if !gated {
-				// No breaker to pace us: back off directly so a dead
-				// server is not hammered in a hot loop.
-				waitOrWake(pl.wake, writerBackoff(failStreak))
-			}
-			continue
 
 		case status == http.StatusOK:
-			failStreak, pl.rejects = 0, 0
+			pl.rejects = 0
 			pl.srvVersion = ackVersion
 			pl.srvTransport = ent.sentTransport
 			pl.srvPlain = ent.sentPlain
@@ -983,7 +869,6 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			sess.mu.Unlock()
 
 		case status == http.StatusConflict:
-			failStreak = 0
 			root.Annotate("conflict", "1")
 			e.pipeRepair(ctx, sess, docID, root)
 			// pipeRepair returns with sess.mu released.
@@ -992,11 +877,11 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			// Permanent rejection (4xx other than conflict). First try
 			// collapsing to a full save — a delta the server cannot apply
 			// may still be expressible as an overwrite — then give up.
-			failStreak = 0
 			pl.rejects++
 			root.Annotate("outcome", "rejected")
 			root.AnnotateInt("status", int64(status))
 			if pl.rejects >= 3 {
+				pl.refused = status
 				e.dropQueueLocked(sess)
 			} else {
 				e.collapseQueueLocked(sess)
@@ -1029,7 +914,7 @@ func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string,
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	defer root.End()
-	e.recordLocked(mctx, sess, err == nil)
+	pl.noteLocked(err == nil)
 	if pl.closed {
 		msp.End()
 		return
@@ -1038,7 +923,7 @@ func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string,
 		msp.Annotate("error", "fetch")
 		msp.End()
 		root.Annotate("outcome", "repair_fetch_failed")
-		return // breaker recorded the failure; the writer loop paces itself
+		return // the failure streak paces the writer's next try
 	}
 	if rerr := e.repairLocked(mctx, sess, docID, mirror, version); rerr != nil {
 		msp.Annotate("error", "bridge")
@@ -1067,8 +952,11 @@ func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string,
 	}
 }
 
-// flushSession blocks until the document's save queue is fully drained
-// (or ctx expires). A nil/legacy session has nothing queued.
+// flushSession blocks until the document's session is idle (or ctx
+// expires). A session that was never touched has nothing queued. Saves
+// the writer dropped since the last Flush or Close reported drops — the
+// server refused them for good — fail the Flush: they were acknowledged
+// locally but are not durable.
 func (e *Extension) flushSession(ctx context.Context, docID string) error {
 	e.mu.RLock()
 	sess := e.sessions[docID]
@@ -1078,24 +966,35 @@ func (e *Extension) flushSession(ctx context.Context, docID string) error {
 	}
 	sess.mu.Lock()
 	pl := sess.pl
-	if pl == nil || (len(pl.queue) == 0 && !pl.inflight && !pl.catchup) {
+	if pl == nil {
 		sess.mu.Unlock()
 		return nil
 	}
-	ch := make(chan struct{})
-	pl.idle = append(pl.idle, ch)
-	sess.mu.Unlock()
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	seen := pl.reported
+	if !pl.idleLocked() {
+		ch := make(chan struct{})
+		pl.idle = append(pl.idle, ch)
+		sess.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		sess.mu.Lock()
 	}
+	defer sess.mu.Unlock()
+	if n := pl.stats.Dropped - seen; n > 0 {
+		pl.reported = pl.stats.Dropped
+		return fmt.Errorf("mediator: flush %s: %d saves never reached the server (last refusal: status %d)", docID, n, pl.refused)
+	}
+	return nil
 }
 
 // closeSession tears down a document session: the writer goroutine exits,
 // queued-but-unsent saves are dropped (flush first for a graceful close),
-// and the session record is removed so a later touch starts fresh.
+// and the session record is removed so a later touch starts fresh. The
+// error counts every save that never reached the server and no Flush has
+// reported: the dropped queue plus any the server refused earlier.
 func (e *Extension) closeSession(docID string) error {
 	e.mu.Lock()
 	sess := e.sessions[docID]
@@ -1107,24 +1006,23 @@ func (e *Extension) closeSession(docID string) error {
 	sess.mu.Lock()
 	var dropped int
 	if pl := sess.pl; pl != nil && !pl.closed {
-		dropped = len(pl.queue)
+		queued := len(pl.queue)
 		pl.closed = true
 		pl.queue = nil
-		pl.stats.Dropped += dropped
+		pl.stats.Dropped += queued
+		dropped = pl.stats.Dropped - pl.reported
+		pl.reported = pl.stats.Dropped
 		e.bump(func(s *Stats) {
-			s.DroppedSaves += dropped
-			s.QueueDepth -= dropped
+			s.DroppedSaves += queued
+			s.QueueDepth -= queued
 		})
-		metricQueueDepth.Add(float64(-dropped))
+		metricQueueDepth.Add(float64(-queued))
 		notifyIdleLocked(pl)
-		select {
-		case pl.wake <- struct{}{}:
-		default:
-		}
+		close(pl.done)
 	}
 	sess.mu.Unlock()
 	if dropped > 0 {
-		return fmt.Errorf("mediator: close %s: dropped %d unsaved queued saves", docID, dropped)
+		return fmt.Errorf("mediator: close %s: %d saves never reached the server", docID, dropped)
 	}
 	return nil
 }

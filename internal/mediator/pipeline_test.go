@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,12 +60,9 @@ func newPipeWorld(t *testing.T, docID string, seed int64, stegoOn bool, depth in
 			BlockChars: 8,
 			Nonces:     crypt.NewSeededNonceSource(uint64(seed) + uint64(i)),
 		}
-		extOpts := []Option{}
+		extOpts := []Option{WithPipeline(depth)}
 		if stegoOn {
 			extOpts = append(extOpts, WithStego())
-		}
-		if depth > 0 {
-			extOpts = append(extOpts, WithPipeline(depth))
 		}
 		w.gates[i] = &gatedTransport{base: w.ts.Client().Transport}
 		w.exts[i] = New(w.gates[i], StaticPassword("fuzz-pw", opts), extOpts...)
@@ -75,13 +73,14 @@ func newPipeWorld(t *testing.T, docID string, seed int64, stegoOn bool, depth in
 
 // TestPipelineConvergesWithResyncOracle is the property fuzz for the
 // OT-first save path: three writers make conflicting edits through
-// pipelined extensions (transform-merge on rejected saves), and the
-// converged document must be byte-identical to a resync oracle — the
-// same edit script pushed through the legacy synchronous path, where
-// every conflict is resolved by the client's fetch-merge-retry Sync.
-// The matrix covers both codecs and both queue regimes: depth 1 forces
-// every burst to coalesce through delta.Compose, depth 8 keeps entries
-// distinct so the writer transforms them one by one.
+// encrypting extensions (transform-merge on rejected saves), and the
+// converged document must be byte-identical to a resync oracle — a
+// plaintext model running the same edit script with three plain clients
+// on their own server and no mediator, where every conflict is resolved
+// by the client's fetch-merge-retry Sync. The matrix covers both codecs
+// and both queue regimes: depth 1 forces every burst to coalesce through
+// delta.Compose, depth 8 keeps entries distinct so the writer transforms
+// them one by one.
 func TestPipelineConvergesWithResyncOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -103,6 +102,24 @@ func TestPipelineConvergesWithResyncOracle(t *testing.T) {
 	}
 }
 
+// plainWorld is the fuzz's reference model: three plain clients on their
+// own server, with no mediator and no encryption.
+type plainWorld struct {
+	server  *gdocs.Server
+	clients [3]*gdocs.Client
+}
+
+func newPlainWorld(t *testing.T, docID string) *plainWorld {
+	t.Helper()
+	w := &plainWorld{server: gdocs.NewServer()}
+	ts := httptest.NewServer(w.server)
+	t.Cleanup(ts.Close)
+	for i := range w.clients {
+		w.clients[i] = gdocs.NewClient(ts.Client(), ts.URL, docID)
+	}
+	return w
+}
+
 // writerPools gives each fuzz writer a private pool of characters,
 // disjoint from the others and from the base document; every insert
 // consumes one FRESH character, so no character ever appears twice in
@@ -119,17 +136,17 @@ func runOracleTrial(t *testing.T, stegoOn bool, depth int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	docID := fmt.Sprintf("fuzz-doc-%d", seed)
 	pipe := newPipeWorld(t, docID, seed, stegoOn, depth)
-	oracle := newPipeWorld(t, docID, seed+100, stegoOn, 0) // legacy resync path
+	oracle := newPlainWorld(t, docID)
 
 	// Seed both worlds with the same base document: every character
 	// distinct, sharing nothing with the writers' pools.
 	const base = "MNOPQRSTUVWXYZ0123456789#%!?"
-	for _, w := range []*pipeWorld{pipe, oracle} {
-		if err := w.clients[0].Create(); err != nil {
+	for _, c := range []*gdocs.Client{pipe.clients[0], oracle.clients[0]} {
+		if err := c.Create(); err != nil {
 			t.Fatalf("seed %d: create: %v", seed, err)
 		}
-		w.clients[0].SetText(base)
-		if err := w.clients[0].Save(); err != nil {
+		c.SetText(base)
+		if err := c.Save(); err != nil {
 			t.Fatalf("seed %d: base save: %v", seed, err)
 		}
 	}
@@ -190,8 +207,8 @@ func runOracleTrial(t *testing.T, stegoOn bool, depth int, seed int64) {
 				if err := pipe.clients[i].Replace(pos, del, ins); err != nil {
 					t.Fatalf("seed %d: pipe replace: %v", seed, err)
 				}
-				// Pipelined saves local-ack instantly and enqueue; at
-				// depth 1 every burst beyond the first save coalesces.
+				// Saves local-ack instantly and enqueue; at depth 1
+				// every burst beyond the first save coalesces.
 				if err := pipe.clients[i].Save(); err != nil {
 					t.Fatalf("seed %d: pipe save: %v", seed, err)
 				}
@@ -204,7 +221,7 @@ func runOracleTrial(t *testing.T, stegoOn bool, depth int, seed int64) {
 				t.Fatalf("seed %d round %d: flush writer %d: %v", seed, round, i, err)
 			}
 			// The oracle pushes the same burst as one delta; conflicts
-			// resolve through the legacy fetch-merge-retry path.
+			// resolve through the client's fetch-merge-retry Sync.
 			if err := oracle.clients[i].Sync(); err != nil {
 				t.Fatalf("seed %d round %d: oracle sync %d: %v", seed, round, i, err)
 			}
@@ -222,8 +239,8 @@ func runOracleTrial(t *testing.T, stegoOn bool, depth int, seed int64) {
 				t.Fatalf("seed %d round %d: oracle clients diverged: %q vs %q", seed, round, got, oracleText)
 			}
 		}
-		if srv := decryptStored(t, oracle.server, docID, "fuzz-pw", stegoOn); srv != oracleText {
-			t.Fatalf("seed %d round %d: oracle server %q != clients %q", seed, round, srv, oracleText)
+		if srv, _, err := oracle.server.Content(context.Background(), docID); err != nil || srv != oracleText {
+			t.Fatalf("seed %d round %d: oracle server (%q, %v) != clients %q", seed, round, srv, err, oracleText)
 		}
 		if pipeText != oracleText {
 			t.Fatalf("seed %d round %d: transform-merged text diverged from resync oracle:\n pipe   %q\n oracle %q",
@@ -232,7 +249,7 @@ func runOracleTrial(t *testing.T, stegoOn bool, depth int, seed int64) {
 	}
 }
 
-// convergePipe flushes and refreshes the pipelined world until all three
+// convergePipe flushes and refreshes the encrypted world until all three
 // clients and the decrypted server container agree, and returns the
 // converged text. The idle catch-up that realigns a behind mediator is
 // asynchronous, so agreement can take a few refresh passes.
@@ -264,7 +281,7 @@ func convergePipe(t *testing.T, w *pipeWorld, docID string, stegoOn bool, seed i
 			return text
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("seed %d round %d: pipelined world failed to converge: %q / %q / %q / server %q",
+			t.Fatalf("seed %d round %d: encrypted world failed to converge: %q / %q / %q / server %q",
 				seed, round, w.clients[0].Text(), w.clients[1].Text(), w.clients[2].Text(),
 				decryptStored(t, w.server, docID, "fuzz-pw", stegoOn))
 		}
@@ -275,14 +292,18 @@ func convergePipe(t *testing.T, w *pipeWorld, docID string, stegoOn bool, seed i
 // gatedTransport blocks every round trip while the gate is closed,
 // simulating a backend that stops answering without erroring.
 type gatedTransport struct {
-	base http.RoundTripper
-	mu   sync.Mutex
-	gate chan struct{} // non-nil while closed; receive unblocks
+	base    http.RoundTripper
+	mu      sync.Mutex
+	gate    chan struct{} // non-nil while closed; receive unblocks
+	blocked int           // round trips that have waited at a closed gate
 }
 
 func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	g.mu.Lock()
 	ch := g.gate
+	if ch != nil {
+		g.blocked++
+	}
 	g.mu.Unlock()
 	if ch != nil {
 		select {
@@ -302,6 +323,112 @@ func (g *gatedTransport) open() {
 	g.mu.Unlock()
 	if ch != nil {
 		close(ch)
+	}
+}
+
+// TestFlushWaitsForInflightCatchup pins Flush as a barrier against an
+// idle catch-up that is still fetching: the writer clears its catch-up
+// request before it unlocks to fetch, and a Flush that returned during
+// the fetch would let the client save against a version the repair is
+// about to bump.
+func TestFlushWaitsForInflightCatchup(t *testing.T) {
+	server := gdocs.NewServer()
+	ts := httptest.NewServer(server)
+	defer ts.Close()
+	gated := &gatedTransport{base: ts.Client().Transport}
+	opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(31)}
+	ext := New(gated, StaticPassword("pw", opts))
+	client := gdocs.NewClient(ext.Client(), ts.URL, "catchup-doc")
+	if err := client.Create(); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	client.SetText("before the catch-up")
+	if err := client.Save(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	sess := ext.Session("catchup-doc")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+
+	// Refresh asks the writer for a catch-up; wait until its fetch is
+	// parked at the closed gate.
+	gated.close()
+	if err := client.Refresh(); err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	for {
+		gated.mu.Lock()
+		n := gated.blocked
+		gated.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("catch-up fetch never reached the transport")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelShort()
+	if err := sess.Flush(short); err == nil {
+		t.Fatal("Flush returned while the idle catch-up was still fetching")
+	}
+	gated.open()
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatalf("flush after the catch-up: %v", err)
+	}
+}
+
+// TestRefusedSavesAreNotDurable pins how a save the server refuses for
+// good (here its size quota) is reported: the save acks locally, the
+// writer drops it after repeated refusals, and the next Flush — or, with
+// no Flush, Close — fails, once, instead of passing the edit off as
+// durable.
+func TestRefusedSavesAreNotDurable(t *testing.T) {
+	for _, flushFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("flush=%v", flushFirst), func(t *testing.T) {
+			server := gdocs.NewServer()
+			server.SetMaxBytes(4096)
+			ts := httptest.NewServer(server)
+			defer ts.Close()
+			opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(41)}
+			ext := New(ts.Client().Transport, StaticPassword("pw", opts))
+			client := gdocs.NewClient(ext.Client(), ts.URL, "quota-doc")
+			if err := client.Create(); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			client.SetText(strings.Repeat("over quota ", 400))
+			if err := client.Save(); err != nil {
+				t.Fatalf("save should ack locally: %v", err)
+			}
+			sess := ext.Session("quota-doc")
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if flushFirst {
+				if err := sess.Flush(ctx); err == nil || !strings.Contains(err.Error(), "413") {
+					t.Fatalf("flush: %v, want the 413 refusal reported", err)
+				}
+				if err := sess.Flush(ctx); err != nil {
+					t.Errorf("second flush: %v, want the refusal reported only once", err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Errorf("close: %v, want nothing left to report", err)
+				}
+				return
+			}
+			for sess.Stats().Dropped == 0 {
+				if ctx.Err() != nil {
+					t.Fatal("the writer never dropped the refused save")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := sess.Close(); err == nil || !strings.Contains(err.Error(), "1 saves never reached") {
+				t.Errorf("close: %v, want the dropped save reported", err)
+			}
+		})
 	}
 }
 

@@ -1,25 +1,16 @@
 // Resilience: the paper's extension mediated live traffic to an untrusted
 // *and unreliable* cloud, so a round trip may drop, stall, 5xx, or come
-// back corrupted. This file gives the extension three layers of defense,
-// all per document and all behind WithResilience (off by default so the
-// legacy fail-fast behavior — and every existing test — is unchanged):
+// back corrupted. WithResilience retries every mediated round trip with
+// exponential backoff and decorrelated jitter for transient transport
+// errors, 5xx, and 429 responses, bounded by the request's context and an
+// optional per-attempt deadline budget; a typed admission reject's
+// Retry-After is a floor on the sleep. Without it each round trip is one
+// attempt.
 //
-//  1. Retry with exponential backoff and decorrelated jitter for
-//     transient transport errors, 5xx, and 429 responses, bounded by the
-//     request's context and an optional per-attempt deadline budget.
-//  2. A per-document circuit breaker: after TripAfter consecutive
-//     infrastructure failures the document trips into degraded mode and
-//     stops hammering a dead server; cooldowns double (decorrelated by
-//     the retry jitter being per-attempt) up to MaxCooldown, then a
-//     half-open probe decides whether to close.
-//  3. Degraded mode: while the breaker is open the local plaintext view
-//     stays fully editable — saves are absorbed into a per-document
-//     shadow plaintext and acknowledged locally (marked with the
-//     X-Privedit-Degraded header), loads are served from the shadow.
-//     On recovery the queued state drains through the PR-2 resync path:
-//     re-fetch the server ciphertext, re-open the editor, and replay the
-//     queued edits as one transformed delta — so a retried or replayed
-//     save can never diverge the skip-list indices.
+// Above the retries sits the writer's own failure streak (pipeline.go):
+// a save the retries could not land keeps the document degraded — saves
+// and loads still served locally, marked with X-Privedit-Degraded — while
+// the writer backs off, and the queue drains once the server answers.
 package mediator
 
 import (
@@ -32,11 +23,8 @@ import (
 	"strings"
 	"time"
 
-	"privedit/internal/delta"
-	"privedit/internal/diff"
 	"privedit/internal/gdocs"
 	"privedit/internal/obs"
-	"privedit/internal/stego"
 	"privedit/internal/trace"
 )
 
@@ -49,28 +37,12 @@ var (
 	metricRetryBackoff = obs.NewHistogram("privedit_mediator_retry_backoff_seconds",
 		"Backoff slept before a retry (decorrelated jitter), seconds.", obs.TimeBuckets)
 
-	metricBreakerTransitions = func(to string) *obs.Counter {
-		return obs.NewCounter("privedit_mediator_breaker_transitions_total",
-			"Per-document circuit-breaker state transitions, by target state.", "to", to)
-	}
-	metricBreakerToOpen   = metricBreakerTransitions("open")
-	metricBreakerToHalf   = metricBreakerTransitions("half_open")
-	metricBreakerToClosed = metricBreakerTransitions("closed")
-
-	metricBreakerOpenDocs = obs.NewGauge("privedit_mediator_breaker_open_docs",
-		"Documents whose circuit breaker is currently open (degraded mode).")
-	metricQueuedSaves = obs.NewGauge("privedit_mediator_queued_saves",
-		"Documents with a degraded-mode shadow save queued for drain.")
-
 	metricDegraded = func(op string) *obs.Counter {
 		return obs.NewCounter("privedit_mediator_degraded_total",
-			"Operations served locally in degraded mode, by kind.", "op", op)
+			"Operations served locally while the document's writer was failing, by kind.", "op", op)
 	}
 	metricDegradedSave = metricDegraded("save")
 	metricDegradedLoad = metricDegraded("load")
-
-	metricDrains = obs.NewCounter("privedit_mediator_drains_total",
-		"Queued degraded-mode saves successfully replayed to the server.")
 
 	metricAdmissionRetries = obs.NewCounter("privedit_mediator_admission_retries_total",
 		"Retries triggered by typed server admission rejects (rate limit or drain).")
@@ -93,34 +65,16 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// BreakerPolicy governs the per-document circuit breaker.
-type BreakerPolicy struct {
-	// TripAfter is how many consecutive infrastructure failures open the
-	// breaker. 0 means 5.
-	TripAfter int
-	// Cooldown is the initial open period before a half-open probe. It
-	// doubles after every failed probe. A zero cooldown is valid and
-	// means "probe on the very next request" — the time-independent mode
-	// the deterministic chaos harness uses.
-	Cooldown time.Duration
-	// MaxCooldown caps the doubling. 0 means 2s.
-	MaxCooldown time.Duration
-}
-
-// Resilience bundles the retry and breaker policies.
+// Resilience holds the retry policy.
 type Resilience struct {
-	Retry   RetryPolicy
-	Breaker BreakerPolicy
+	Retry RetryPolicy
 }
 
-// DefaultResilience returns the policies used when WithResilience is given
-// zero values: 4 attempts, 5ms..250ms decorrelated-jitter backoff, a
-// breaker tripping after 5 consecutive failures with a 100ms initial
-// cooldown doubling to 2s.
+// DefaultResilience returns the policy used when WithResilience is given
+// zero values: 4 attempts, 5ms..250ms decorrelated-jitter backoff.
 func DefaultResilience() Resilience {
 	return Resilience{
-		Retry:   RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
-		Breaker: BreakerPolicy{TripAfter: 5, Cooldown: 100 * time.Millisecond, MaxCooldown: 2 * time.Second},
+		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
 	}
 }
 
@@ -134,38 +88,27 @@ func (r Resilience) withDefaults() Resilience {
 	if r.Retry.MaxBackoff <= 0 {
 		r.Retry.MaxBackoff = 250 * time.Millisecond
 	}
-	if r.Breaker.TripAfter <= 0 {
-		r.Breaker.TripAfter = 5
-	}
-	if r.Breaker.MaxCooldown <= 0 {
-		r.Breaker.MaxCooldown = 2 * time.Second
-	}
 	return r
 }
 
-// WithResilience enables the retry/breaker/degraded-mode stack with the
-// given policies (zero fields take DefaultResilience values, except
-// Breaker.Cooldown where zero means probe-immediately).
+// WithResilience enables retries with the given policy (zero fields take
+// DefaultResilience values).
 func WithResilience(r Resilience) Option {
 	return func(e *Extension) {
 		rr := r.withDefaults()
 		e.res = &resilience{
-			retry:   rr.Retry,
-			breaker: rr.Breaker,
-			now:     time.Now,
-			rng:     uint64(rr.Retry.Seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3,
+			retry: rr.Retry,
+			rng:   uint64(rr.Retry.Seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3,
 		}
 	}
 }
 
-// resilience is the runtime form of the policies plus the jitter PRNG.
+// resilience is the runtime form of the policy plus the jitter PRNG.
 // The PRNG sits behind the extension-wide rngMu (cheap: it is touched only
 // when a retry actually sleeps).
 type resilience struct {
-	retry   RetryPolicy
-	breaker BreakerPolicy
-	now     func() time.Time
-	rng     uint64 // guarded by Extension.rngMu
+	retry RetryPolicy
+	rng   uint64 // guarded by Extension.rngMu
 }
 
 // mix64 is the SplitMix64 step — no math/rand, so backoff jitter stays a
@@ -362,292 +305,15 @@ func (e *Extension) attemptOnce(ctx context.Context, build func(context.Context)
 	return resp, nil
 }
 
-// infraFailure classifies a completed round trip for the breaker: transport
-// errors, retry exhaustion, and transient server statuses count; logical
-// rejections (409 conflicts, 4xx protocol errors) do not.
+// infraFailure classifies a completed round trip for the writer's failure
+// streak: transport errors, retry exhaustion, and transient server
+// statuses count; logical rejections (409 conflicts, 4xx protocol errors)
+// do not.
 func infraFailure(resp *http.Response, err error) bool {
 	if err != nil {
 		return true
 	}
 	return retryableStatus(resp.StatusCode)
-}
-
-// Circuit-breaker states.
-const (
-	brkClosed = iota
-	brkOpen
-	brkHalfOpen
-)
-
-// breakerState is the per-document breaker plus the degraded-mode shadow.
-// It lives inside the session and is guarded by session.mu.
-type breakerState struct {
-	state     int
-	failures  int           // consecutive infrastructure failures
-	cooldown  time.Duration // current open period (doubles per failed probe)
-	reopenAt  time.Time
-	shadow    string // latest degraded-mode plaintext, queued for drain
-	hasShadow bool
-}
-
-// brkName renders a breaker state for trace annotations.
-func brkName(state int) string {
-	switch state {
-	case brkOpen:
-		return "open"
-	case brkHalfOpen:
-		return "half_open"
-	default:
-		return "closed"
-	}
-}
-
-// transitionLocked moves the breaker to a new state, keeping the
-// open-docs gauge and the transition counters honest, and annotating the
-// current trace span with the transition. Callers hold session.mu.
-func (e *Extension) transitionLocked(ctx context.Context, b *breakerState, to int) {
-	if b.state == to {
-		return
-	}
-	trace.Current(ctx).Annotate("breaker", brkName(b.state)+"->"+brkName(to))
-	if b.state == brkOpen {
-		metricBreakerOpenDocs.Add(-1)
-	}
-	if to == brkOpen {
-		metricBreakerOpenDocs.Add(1)
-	}
-	b.state = to
-	switch to {
-	case brkOpen:
-		metricBreakerToOpen.Inc()
-	case brkHalfOpen:
-		metricBreakerToHalf.Inc()
-	case brkClosed:
-		metricBreakerToClosed.Inc()
-	}
-}
-
-// openLocked (re)opens the breaker, doubling the cooldown on repeated
-// failures. Callers hold session.mu.
-func (e *Extension) openLocked(ctx context.Context, b *breakerState) {
-	switch {
-	case b.cooldown <= 0:
-		b.cooldown = e.res.breaker.Cooldown
-	default:
-		b.cooldown *= 2
-	}
-	if b.cooldown > e.res.breaker.MaxCooldown {
-		b.cooldown = e.res.breaker.MaxCooldown
-	}
-	b.reopenAt = e.res.now().Add(b.cooldown)
-	e.transitionLocked(ctx, b, brkOpen)
-}
-
-// recordLocked feeds one round-trip outcome into the breaker. Callers
-// hold session.mu.
-func (e *Extension) recordLocked(ctx context.Context, sess *session, ok bool) {
-	if e.res == nil {
-		return
-	}
-	b := &sess.brk
-	if ok {
-		b.failures = 0
-		if b.state != brkClosed {
-			e.transitionLocked(ctx, b, brkClosed)
-			b.cooldown = 0
-		}
-		return
-	}
-	b.failures++
-	switch {
-	case b.state == brkHalfOpen:
-		e.openLocked(ctx, b) // failed probe: back off harder
-	case b.state == brkClosed && b.failures >= e.res.breaker.TripAfter:
-		e.bump(func(s *Stats) { s.BreakerTrips++ })
-		e.openLocked(ctx, b)
-	}
-}
-
-// gateLocked is the front door of every breaker-guarded mediation: it
-// reports whether the request must be served degraded. While open and
-// cooling down → degraded. Once the cooldown expires the breaker
-// half-opens, and any queued shadow drains *before* the current request
-// is mediated, so the editor state the request transforms against is
-// never behind the client's acknowledged view. Callers hold session.mu.
-func (e *Extension) gateLocked(sess *session, docID string, req *http.Request) bool {
-	if e.res == nil {
-		return false
-	}
-	b := &sess.brk
-	if b.state == brkOpen {
-		if e.res.now().Before(b.reopenAt) {
-			return true
-		}
-		e.transitionLocked(req.Context(), b, brkHalfOpen)
-	}
-	if b.hasShadow {
-		if err := e.drainLocked(sess, docID, req); err != nil {
-			e.recordLocked(req.Context(), sess, false)
-			return true
-		}
-		e.recordLocked(req.Context(), sess, true)
-	}
-	return false
-}
-
-// setShadowLocked / clearShadowLocked manage the queued-save gauge.
-func (e *Extension) setShadowLocked(b *breakerState, text string) {
-	if !b.hasShadow {
-		metricQueuedSaves.Add(1)
-	}
-	b.shadow, b.hasShadow = text, true
-}
-
-func (e *Extension) clearShadowLocked(b *breakerState) {
-	if b.hasShadow {
-		metricQueuedSaves.Add(-1)
-	}
-	b.shadow, b.hasShadow = "", false
-}
-
-// degradeUpdateLocked absorbs a save locally while the breaker is open:
-// the new plaintext becomes (or updates) the shadow, and the client gets
-// a synthesized Ack marked with the degraded header so it keeps editing.
-// Callers hold session.mu.
-func (e *Extension) degradeUpdateLocked(sess *session, req *http.Request, form url.Values) (*http.Response, error) {
-	trace.Current(req.Context()).Annotate("degraded", "save")
-	b := &sess.brk
-	var next string
-	switch {
-	case form.Has(gdocs.FieldDocContents):
-		next = form.Get(gdocs.FieldDocContents)
-	case form.Has(gdocs.FieldDelta):
-		base := b.shadow
-		if !b.hasShadow {
-			if sess.ed == nil {
-				return synthesize(req, http.StatusServiceUnavailable,
-					"privedit: degraded: no local state to apply delta to"), nil
-			}
-			base = sess.ed.Plaintext()
-		}
-		pd, err := delta.Parse(form.Get(gdocs.FieldDelta))
-		if err != nil {
-			return synthesize(req, http.StatusForbidden, "privedit: bad delta: "+err.Error()), nil
-		}
-		applied, err := pd.Apply(base)
-		if err != nil {
-			// The client's base diverged from the shadow (e.g. it reloaded
-			// mid-outage); let its conflict machinery resolve against the
-			// degraded load view.
-			return synthesize(req, http.StatusConflict,
-				"privedit: degraded: delta does not apply to queued state"), nil
-		}
-		next = applied
-	default:
-		return synthesize(req, http.StatusForbidden, "privedit: unrecognized update"), nil
-	}
-	e.setShadowLocked(b, next)
-	e.bump(func(s *Stats) { s.DegradedSaves++ })
-	metricDegradedSave.Inc()
-
-	version, _ := strconv.Atoi(form.Get(gdocs.FieldVersion))
-	resp := synthesize(req, http.StatusOK, gdocs.Ack{Version: version + 1}.Encode())
-	resp.Header.Set(gdocs.HeaderDegraded, "1")
-	return resp, nil
-}
-
-// degradeLoadLocked serves a document load from local state while the
-// breaker is open — the read-only-towards-the-server (but locally
-// editable) view. Callers hold session.mu.
-func (e *Extension) degradeLoadLocked(sess *session, req *http.Request) (*http.Response, error) {
-	trace.Current(req.Context()).Annotate("degraded", "load")
-	b := &sess.brk
-	var text string
-	switch {
-	case b.hasShadow:
-		text = b.shadow
-	case sess.ed != nil:
-		text = sess.ed.Plaintext()
-	default:
-		return synthesize(req, http.StatusServiceUnavailable,
-			"privedit: degraded: document unavailable until the server recovers"), nil
-	}
-	e.bump(func(s *Stats) { s.DegradedLoads++ })
-	metricDegradedLoad.Inc()
-	resp := synthesize(req, http.StatusOK, text)
-	resp.Header.Set(gdocs.HeaderDegraded, "1")
-	return resp, nil
-}
-
-// drainLocked replays the queued shadow through the resync path: fetch
-// the server's current ciphertext (which may have moved — another session
-// may have written during the outage), re-open the editor on it, and push
-// one delta from the server's plaintext to the shadow. Reusing the resync
-// machinery is what guarantees a replayed save can never diverge the
-// skip-list indices: the transform always starts from the server's actual
-// state. Callers hold session.mu.
-func (e *Extension) drainLocked(sess *session, docID string, req *http.Request) error {
-	ctx, dsp := trace.Start(req.Context(), trace.SpanDrain)
-	defer dsp.End()
-	req = req.WithContext(ctx)
-	b := &sess.brk
-	version, err := e.refetchLocked(sess, docID, req)
-	if err != nil {
-		return err
-	}
-	target := b.shadow
-	form := url.Values{gdocs.FieldDocID: {docID}}
-	form.Set(gdocs.FieldVersion, strconv.Itoa(version))
-	switch {
-	case sess.ed == nil:
-		// Brand-new or empty server document: replay as a full save.
-		ed, err := e.editorLocked(sess, docID)
-		if err != nil {
-			return err
-		}
-		ctxt, err := ed.Encrypt(target)
-		if err != nil {
-			return err
-		}
-		if e.useStego {
-			if ctxt, err = stego.Encode(ctxt); err != nil {
-				return err
-			}
-		}
-		form.Set(gdocs.FieldDocContents, ctxt)
-	case sess.ed.Plaintext() == target:
-		// Nothing to replay: the server already holds the queued state.
-		e.clearShadowLocked(b)
-		return nil
-	default:
-		d := diff.Diff(sess.ed.Plaintext(), target)
-		cd, err := sess.ed.TransformDeltaOps(d)
-		if err != nil {
-			sess.ed = nil // next load rebuilds from the server
-			return fmt.Errorf("mediator: drain transform: %w", err)
-		}
-		if e.useStego {
-			if cd, err = stego.TransformDelta(cd); err != nil {
-				return fmt.Errorf("mediator: drain stego: %w", err)
-			}
-		}
-		form.Set(gdocs.FieldDelta, cd.String())
-	}
-	resp, err := e.postForm(req.Context(), req.URL, gdocs.PathDoc, form, "")
-	if err != nil {
-		e.resyncLocked(sess, docID, req)
-		return fmt.Errorf("mediator: drain: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		e.resyncLocked(sess, docID, req)
-		return fmt.Errorf("mediator: drain rejected: status %d", resp.StatusCode)
-	}
-	e.clearShadowLocked(b)
-	e.bump(func(s *Stats) { s.Drains++ })
-	metricDrains.Inc()
-	return nil
 }
 
 // postForm sends a freshly built form POST through the resilient path.

@@ -3,8 +3,10 @@ package mediator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -108,30 +110,19 @@ func (h *resilientHarness) seed(t *testing.T, text string) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("seed save: %v", err)
 	}
+	flush(t, h.ext, h.client.DocID())
 }
 
 func TestResilienceWithDefaults(t *testing.T) {
 	r := Resilience{}.withDefaults()
 	want := DefaultResilience()
-	if r.Retry.MaxAttempts != want.Retry.MaxAttempts ||
-		r.Retry.BaseBackoff != want.Retry.BaseBackoff ||
-		r.Retry.MaxBackoff != want.Retry.MaxBackoff ||
-		r.Breaker.TripAfter != want.Breaker.TripAfter ||
-		r.Breaker.MaxCooldown != want.Breaker.MaxCooldown {
+	if r != want {
 		t.Errorf("withDefaults = %+v, want %+v", r, want)
-	}
-	// Zero cooldown is a deliberate "probe on next request" mode and must
-	// survive defaulting.
-	if r.Breaker.Cooldown != 0 {
-		t.Errorf("zero Cooldown rewritten to %v", r.Breaker.Cooldown)
 	}
 }
 
 func TestRetryRecoversTransientErrors(t *testing.T) {
-	h := newResilientHarness(t, Resilience{
-		Retry:   fastRetry(4),
-		Breaker: BreakerPolicy{TripAfter: 100},
-	})
+	h := newResilientHarness(t, Resilience{Retry: fastRetry(4)})
 	h.seed(t, "the quick brown fox")
 
 	h.flaky.set(func(f *faultyTransport) { f.failNext = 2 })
@@ -141,63 +132,88 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save through transient failures: %v", err)
 	}
+	flush(t, h.ext, h.client.DocID())
 	if got := h.ext.Stats().Retries; got < 2 {
 		t.Errorf("Retries = %d, want >= 2", got)
 	}
-	if h.client.Degraded() {
-		t.Error("successful retried save marked degraded")
+	if h.ext.Session(h.client.DocID()).Degraded() {
+		t.Error("successfully retried save left the document degraded")
 	}
+	plainCheck(t, h, "Note: the quick brown fox")
 }
 
 func TestRetryRecoversInjected5xxAnd429(t *testing.T) {
 	for _, status := range []int{http.StatusInternalServerError, http.StatusTooManyRequests} {
-		h := newResilientHarness(t, Resilience{
-			Retry:   fastRetry(4),
-			Breaker: BreakerPolicy{TripAfter: 100},
-		})
+		h := newResilientHarness(t, Resilience{Retry: fastRetry(4)})
 		h.seed(t, "retry me")
 		h.flaky.set(func(f *faultyTransport) { f.failNext, f.status = 2, status })
 		if err := h.client.Insert(0, "x"); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.client.Save(); err != nil {
-			t.Errorf("status %d: save not retried: %v", status, err)
+			t.Fatalf("status %d: save: %v", status, err)
 		}
+		flush(t, h.ext, h.client.DocID())
+		if got := h.ext.Stats().Retries; got < 2 {
+			t.Errorf("status %d: Retries = %d, want >= 2", status, got)
+		}
+		plainCheck(t, h, "xretry me")
 	}
 }
 
+// TestRetryExhaustionSurfacesStatus: with the server hard-down, a load
+// that has no local state to serve must surface the server's final
+// status once the retries run out, rather than invent a document.
 func TestRetryExhaustionSurfacesStatus(t *testing.T) {
-	h := newResilientHarness(t, Resilience{
-		Retry:   fastRetry(3),
-		Breaker: BreakerPolicy{TripAfter: 100},
-	})
-	h.seed(t, "doomed")
+	// A first touch with no local state cannot be served locally: the
+	// server's final answer (an exhausted 500) or the transport error
+	// (status 0) must reach the client as such — never as the extension
+	// blocking the request — for a load and for a save alike.
+	for _, status := range []int{http.StatusInternalServerError, 0} {
+		t.Run(fmt.Sprintf("status=%d", status), func(t *testing.T) {
+			h := newResilientHarness(t, Resilience{Retry: fastRetry(3)})
+			h.seed(t, "doomed")
+			sess := h.ext.Session(h.client.DocID())
+			if err := sess.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
 
-	h.flaky.set(func(f *faultyTransport) { f.down, f.status = true, http.StatusInternalServerError })
-	if err := h.client.Insert(0, "x"); err != nil {
-		t.Fatal(err)
-	}
-	err := h.client.Save()
-	if err == nil {
-		t.Fatal("save succeeded with the server hard-down")
-	}
-	if !strings.Contains(err.Error(), "500") {
-		t.Errorf("error %q does not surface the final 500", err)
-	}
-	s := h.ext.Stats()
-	if s.RetryGiveups < 1 {
-		t.Errorf("RetryGiveups = %d, want >= 1", s.RetryGiveups)
-	}
-	if s.Retries < 2 {
-		t.Errorf("Retries = %d, want >= 2 (3 attempts)", s.Retries)
+			h.flaky.set(func(f *faultyTransport) { f.down, f.status = true, status })
+			check := func(op string, err error) {
+				t.Helper()
+				switch {
+				case err == nil:
+					t.Fatalf("%s without local state succeeded with the server hard-down", op)
+				case errors.Is(err, gdocs.ErrBlocked):
+					t.Errorf("%s: %v; an outage must not look like a block", op, err)
+				case status == 0 && !errors.Is(err, errInjected):
+					t.Errorf("%s: %v does not carry the transport error", op, err)
+				case status != 0 && !strings.Contains(err.Error(), strconv.Itoa(status)):
+					t.Errorf("%s: %v does not surface the final %d", op, err, status)
+				}
+			}
+			check("load", h.client.Load())
+			if err := h.client.Insert(0, "x"); err != nil {
+				t.Fatal(err)
+			}
+			check("save", h.client.Save())
+
+			s := h.ext.Stats()
+			if s.RetryGiveups < 2 {
+				t.Errorf("RetryGiveups = %d, want >= 2", s.RetryGiveups)
+			}
+			if s.Retries < 4 {
+				t.Errorf("Retries = %d, want >= 4 (3 attempts each)", s.Retries)
+			}
+			if s.DegradedLoads != 0 || s.QueuedSaves != 1 {
+				t.Errorf("stats %+v: a refused first touch must not load or queue", s)
+			}
+		})
 	}
 }
 
 func TestTryTimeoutBoundsHungAttempts(t *testing.T) {
-	res := Resilience{
-		Retry:   fastRetry(3),
-		Breaker: BreakerPolicy{TripAfter: 100},
-	}
+	res := Resilience{Retry: fastRetry(3)}
 	res.Retry.TryTimeout = 30 * time.Millisecond
 	h := newResilientHarness(t, res)
 	h.seed(t, "slow server")
@@ -212,6 +228,7 @@ func TestTryTimeoutBoundsHungAttempts(t *testing.T) {
 	if err := h.client.Save(); err != nil {
 		t.Fatalf("save after hung attempt: %v", err)
 	}
+	flush(t, h.ext, h.client.DocID())
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("save took %v; per-attempt budget not applied", elapsed)
 	}
@@ -220,92 +237,80 @@ func TestTryTimeoutBoundsHungAttempts(t *testing.T) {
 	}
 }
 
-func TestBreakerTripsIntoDegradedModeAndDrains(t *testing.T) {
-	h := newResilientHarness(t, Resilience{
-		Retry:   fastRetry(1),
-		Breaker: BreakerPolicy{TripAfter: 2, Cooldown: time.Hour, MaxCooldown: 2 * time.Hour},
-	})
-	const secret = "meet at the old mill at midnight"
-	h.seed(t, secret)
+// TestWriterBacksOffWhileServerDown wedges the backend — every save gets
+// a 503, or the transport errors — while the user keeps saving at
+// keystroke rate, with no retry policy. The writer's failure streak must
+// pace it: the transport sees about one attempt per backoff step, not one
+// per keystroke, while acks and loads are marked degraded. Once the
+// server answers, the queue drains and the stored text is the client's.
+func TestWriterBacksOffWhileServerDown(t *testing.T) {
+	for _, status := range []int{http.StatusServiceUnavailable, 0} {
+		server := gdocs.NewServer()
+		ts := httptest.NewServer(server)
+		defer ts.Close()
+		flaky := &faultyTransport{base: ts.Client().Transport}
+		opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(5)}
+		// A queue deep enough that every keystroke appends — and so wakes
+		// the writer — instead of coalescing into the tail.
+		ext := New(flaky, StaticPassword("hunter2", opts), WithPipeline(1024))
+		h := &resilientHarness{server: server, ts: ts, flaky: flaky, ext: ext,
+			client: gdocs.NewClient(ext.Client(), ts.URL, "wedged-doc")}
+		h.seed(t, "meet at the old mill at midnight")
 
-	// Hard outage: two failed loads trip the per-document breaker. (Loads
-	// leave the encryption editor intact, so degraded mode has local state
-	// to serve.)
-	h.flaky.set(func(f *faultyTransport) { f.down = true })
-	for i := 0; i < 2; i++ {
-		if err := h.client.Load(); err == nil {
-			t.Fatal("load succeeded through a dead transport")
+		flaky.set(func(f *faultyTransport) { f.down, f.status, f.hits = true, status, 0 })
+		const window = 300 * time.Millisecond
+		start := time.Now()
+		keystrokes := 0
+		for time.Since(start) < window {
+			if err := h.client.Insert(0, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.client.Save(); err != nil {
+				t.Fatalf("status %d: save with the server down: %v", status, err)
+			}
+			keystrokes++
+			time.Sleep(time.Millisecond)
 		}
-	}
-	if got := h.ext.Stats().BreakerTrips; got != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", got)
-	}
-	if !h.ext.Degraded(h.client.DocID()) {
-		t.Fatal("extension not degraded after breaker trip")
-	}
+		elapsed := time.Since(start)
+		flaky.mu.Lock()
+		hits := flaky.hits
+		flaky.mu.Unlock()
+		// One attempt opens the streak, then one per elapsed backoff step.
+		steps := 1
+		for spent := time.Duration(0); spent < elapsed; steps++ {
+			spent += writerBackoff(steps)
+		}
+		if hits > steps+2 {
+			t.Errorf("status %d: %d attempts over %d keystrokes in %v; backoff allows about %d",
+				status, hits, keystrokes, elapsed, steps)
+		}
+		if keystrokes < 2*(steps+2) {
+			t.Fatalf("status %d: only %d keystrokes in %v, too few to tell", status, keystrokes, elapsed)
+		}
+		if !h.client.Degraded() {
+			t.Errorf("status %d: ack with the server down not marked degraded", status)
+		}
+		if !ext.Session("wedged-doc").Degraded() {
+			t.Errorf("status %d: session not degraded with the server down", status)
+		}
+		want := h.client.Text()
+		if err := h.client.Load(); err != nil {
+			t.Fatalf("status %d: load with the server down: %v", status, err)
+		}
+		if h.client.Text() != want || !h.client.Degraded() {
+			t.Errorf("status %d: degraded load = %q (degraded %v), want %q", status, h.client.Text(), h.client.Degraded(), want)
+		}
+		if st := ext.Stats(); st.DegradedSaves == 0 || st.DegradedLoads != 1 {
+			t.Errorf("status %d: DegradedSaves/Loads = %d/%d, want >0/1", status, st.DegradedSaves, st.DegradedLoads)
+		}
 
-	// Degraded saves: absorbed locally, acked with the degraded header.
-	if err := h.client.Insert(len(secret), " Bring the ledger."); err != nil {
-		t.Fatal(err)
+		flaky.set(func(f *faultyTransport) { f.down = false })
+		flush(t, ext, "wedged-doc")
+		if ext.Session("wedged-doc").Degraded() {
+			t.Errorf("status %d: session still degraded after the queue drained", status)
+		}
+		plainCheck(t, h, want)
 	}
-	if err := h.client.Save(); err != nil {
-		t.Fatalf("degraded save: %v", err)
-	}
-	if !h.client.Degraded() {
-		t.Error("client not marked degraded after a queued save")
-	}
-	if err := h.client.Insert(0, "URGENT: "); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.client.Save(); err != nil {
-		t.Fatalf("second degraded save: %v", err)
-	}
-	want := "URGENT: " + secret + " Bring the ledger."
-
-	// Degraded loads serve the queued shadow.
-	if err := h.client.Load(); err != nil {
-		t.Fatalf("degraded load: %v", err)
-	}
-	if h.client.Text() != want {
-		t.Errorf("degraded load text = %q, want %q", h.client.Text(), want)
-	}
-	if !h.client.Degraded() {
-		t.Error("degraded load not marked")
-	}
-	s := h.ext.Stats()
-	if s.DegradedSaves != 2 || s.DegradedLoads != 1 {
-		t.Errorf("DegradedSaves/Loads = %d/%d, want 2/1", s.DegradedSaves, s.DegradedLoads)
-	}
-	// Nothing must have reached the dead server after the trip.
-	if s.Drains != 0 {
-		t.Errorf("Drains = %d before recovery", s.Drains)
-	}
-
-	// Recovery: heal the transport and fast-forward past the cooldown so
-	// the next request half-opens the breaker and drains the queue.
-	h.flaky.set(func(f *faultyTransport) { f.down = false })
-	h.ext.res.now = func() time.Time { return time.Now().Add(3 * time.Hour) }
-
-	if err := h.client.Insert(0, "PS. "); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.client.Sync(); err != nil {
-		t.Fatalf("sync after recovery: %v", err)
-	}
-	want = "PS. " + want
-	if h.client.Degraded() {
-		t.Error("client still degraded after recovery")
-	}
-	if h.ext.Degraded(h.client.DocID()) {
-		t.Error("extension still degraded after drain")
-	}
-	s = h.ext.Stats()
-	if s.Drains != 1 {
-		t.Errorf("Drains = %d, want 1", s.Drains)
-	}
-
-	// The drained state must be durable and byte-correct on the server.
-	plainCheck(t, h, want)
 }
 
 // plainCheck verifies the server-stored container decrypts to want and a
@@ -330,29 +335,6 @@ func plainCheck(t *testing.T, h *resilientHarness, want string) {
 	}
 	if fc.Text() != want {
 		t.Errorf("fresh session text = %q, want %q", fc.Text(), want)
-	}
-}
-
-func TestDegradedUnavailableWithoutLocalState(t *testing.T) {
-	h := newResilientHarness(t, Resilience{
-		Retry:   fastRetry(1),
-		Breaker: BreakerPolicy{TripAfter: 1, Cooldown: time.Hour},
-	})
-	// Total outage before the document was ever loaded: there is no local
-	// state to serve, so degraded mode must refuse rather than invent.
-	h.flaky.set(func(f *faultyTransport) { f.down = true })
-	if err := h.client.Load(); err == nil {
-		t.Fatal("first load succeeded through a dead transport")
-	}
-	err := h.client.Load() // breaker now open, no shadow, no editor
-	if err == nil {
-		t.Fatal("degraded load with no state succeeded")
-	}
-	if !strings.Contains(err.Error(), "503") {
-		t.Errorf("error %q, want a 503 refusal", err)
-	}
-	if got := h.ext.Stats().DegradedLoads; got != 0 {
-		t.Errorf("DegradedLoads = %d for a refused load", got)
 	}
 }
 

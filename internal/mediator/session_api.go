@@ -1,7 +1,6 @@
-// The Session handle: the public per-document API of the extension.
-// Callers that previously reached for Extension.Editor / Degraded /
-// Sessions get a first-class object instead, with the pipeline's
-// lifecycle operations (Flush, Close) and a per-document stats view.
+// The Session handle: the public per-document API of the extension — the
+// shadow editor, the degraded flag, the save queue's lifecycle (Flush,
+// Close), and a per-document stats view.
 package mediator
 
 import (
@@ -44,8 +43,7 @@ func (s *Session) Editor() *core.Editor {
 }
 
 // Degraded reports whether the document is currently behind the server:
-// its circuit breaker is open, a degraded-mode shadow awaits drain, or
-// (in pipelined mode) saves are still queued.
+// its writer is failing or saves are still queued.
 func (s *Session) Degraded() bool {
 	e := s.e
 	e.mu.RLock()
@@ -56,17 +54,14 @@ func (s *Session) Degraded() bool {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.brk.state != brkClosed || sess.brk.hasShadow {
-		return true
-	}
-	return sess.pl != nil && (len(sess.pl.queue) > 0 || sess.pl.inflight)
+	return sess.pl != nil && sess.pl.degradedLocked()
 }
 
-// Flush blocks until the document's pipeline is fully quiescent — every
+// Flush blocks until the document's session is fully quiescent — every
 // queued save acknowledged by the server and any pending idle catch-up
-// folded into the local lineage — or ctx expires. On the legacy
-// synchronous path (no WithPipeline) there is never anything pending and
-// Flush returns immediately.
+// folded into the local lineage — or ctx expires. It fails if saves were
+// dropped since the last Flush or Close reported drops: the server
+// refused them for good, so edits acknowledged locally are not durable.
 func (s *Session) Flush(ctx context.Context) error {
 	return s.e.flushSession(ctx, s.docID)
 }
@@ -74,13 +69,13 @@ func (s *Session) Flush(ctx context.Context) error {
 // Close tears down the document's session: the writer goroutine exits
 // and the session record is removed, so a later request starts fresh
 // from the server's state. Queued-but-unsent saves are dropped and
-// reported as an error — Flush first for a graceful close.
+// reported as an error, together with any refused saves no Flush has
+// reported — Flush first for a graceful close.
 func (s *Session) Close() error {
 	return s.e.closeSession(s.docID)
 }
 
-// Stats returns the per-document pipeline counters. On the legacy path
-// only Degraded is meaningful.
+// Stats returns the per-document save queue counters.
 func (s *Session) Stats() SessionStats {
 	e := s.e
 	e.mu.RLock()
@@ -91,36 +86,14 @@ func (s *Session) Stats() SessionStats {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.pl == nil {
-		return SessionStats{Degraded: sess.brk.state != brkClosed || sess.brk.hasShadow}
-	}
 	pl := sess.pl
+	if pl == nil {
+		return SessionStats{}
+	}
 	st := pl.stats
 	st.Pending = len(pl.queue)
-	st.Degraded = sess.brk.state != brkClosed || len(pl.queue) > 0 || pl.inflight
+	st.Degraded = pl.degradedLocked()
 	st.LocalVersion = pl.sv
 	st.ServerVersion = pl.srvVersion
 	return st
-}
-
-// Editor exposes the per-document encryption state.
-//
-// Deprecated: use Session(docID).Editor().
-func (e *Extension) Editor(docID string) *core.Editor {
-	return e.Session(docID).Editor()
-}
-
-// Sessions returns the number of per-document sessions currently managed.
-//
-// Deprecated: use SessionCount.
-func (e *Extension) Sessions() int {
-	return e.SessionCount()
-}
-
-// Degraded reports whether the document's circuit breaker is currently
-// open or it has queued saves awaiting the server.
-//
-// Deprecated: use Session(docID).Degraded().
-func (e *Extension) Degraded(docID string) bool {
-	return e.Session(docID).Degraded()
 }

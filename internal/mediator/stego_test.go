@@ -36,6 +36,7 @@ func TestStegoSessionEndToEnd(t *testing.T) {
 	if err := client.Save(); err != nil {
 		t.Fatalf("delta save: %v", err)
 	}
+	flush(t, ext, "private-doc")
 
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
@@ -101,6 +102,7 @@ func TestStegoDeltasStayAligned(t *testing.T) {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}
+	flush(t, ext, "private-doc")
 	stored, _, err := h.server.Content(context.Background(), "private-doc")
 	if err != nil {
 		t.Fatalf("content: %v", err)

@@ -54,7 +54,7 @@ const (
 	SpanSave      = "save"      // save/update POST round trip (all attempts)
 	SpanRetry     = "retry"     // one resilience retry attempt (backoff + send)
 	SpanMerge     = "merge"     // OT-first conflict repair: catch-up + transform
-	SpanResync    = "resync"    // conflict recovery: refetch + merge/replay
+	SpanResync    = "resync"    // gdocs.Client.Sync conflict recovery: refetch + merge
 
 	// Structural spans around the phases.
 	SpanMediateUpdate = "mediate_update" // mediator handling of one save
@@ -63,7 +63,6 @@ const (
 	SpanClientLoad    = "client_load"    // gdocs.Client.Load
 	SpanClientSave    = "client_save"    // gdocs.Client.Save
 	SpanClientSync    = "client_sync"    // gdocs.Client.Sync
-	SpanDrain         = "drain"          // degraded-mode shadow replay
 	SpanWriterDrain   = "writer_drain"   // pipelined writer: one queued save round trip
 	SpanServerRequest = "server_request" // gdocs server handler (middleware)
 	SpanServerStore   = "server_store"   // gdocs server store operation
@@ -89,8 +88,8 @@ var (
 )
 
 // Annotation is one typed key/value event attached to a span at a point in
-// time, e.g. a retry attempt number, an injected fault kind, or a breaker
-// state transition.
+// time, e.g. a retry attempt number, an injected fault kind, or a save's
+// outcome.
 type Annotation struct {
 	// OffsetNs is nanoseconds since the span started.
 	OffsetNs int64  `json:"offset_ns"`
