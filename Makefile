@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover cover-gate bench experiments fuzz examples metrics-smoke load-smoke ot-smoke chaos-smoke trace-smoke profile-smoke taint-smoke store-smoke store-bench store-soak hotpath clean
+.PHONY: all build vet lint test race cover cover-gate bench experiments fuzz examples metrics-smoke load-smoke ot-smoke chaos-smoke editbench-smoke trace-smoke profile-smoke taint-smoke store-smoke store-bench store-soak hotpath clean
 
 all: build vet lint test
 
@@ -104,6 +104,14 @@ ot-smoke:
 # document diverges). Writes /tmp/BENCH_chaos.json.
 chaos-smoke:
 	$(GO) run ./cmd/privedit-load -chaos -sessions 4 -ops 40 -seed 2011 -json /tmp/BENCH_chaos.json
+
+# The editor benchmark's smoke test. editbench/ is a nested module (it
+# replaces privedit with ../), so `go test ./...` at the root never builds
+# it; this target catches a change to what it uses of the program —
+# gdocs.Backend, the mediator options, the metric names — before the
+# benchmark itself does.
+editbench-smoke:
+	$(GO) -C editbench test ./...
 
 # Traced load run: tracing on (the default), spans exported as JSONL, and
 # the artifact checked for a real per-phase latency breakdown (the harness

@@ -19,11 +19,11 @@ const (
 	// formOverheadBytes approximates the HTTP/form framing around the
 	// document payload.
 	formOverheadBytes = 100
-	// ackBytes models the save acknowledgment. (The simulated server
-	// echoes the full content in contentFromServer, but the 2011 service
-	// the paper measured plainly did not pay full-document traffic per
-	// ack, or its 500 KB documents could not have saved in tens of
-	// milliseconds; the model uses a compact ack.)
+	// ackBytes models the save acknowledgment: a compact ack, as the
+	// simulated server sends for every versioned save (the new version,
+	// an empty contentFromServer and hash 0). The 2011 service the paper
+	// measured plainly did not pay full-document traffic per ack, or its
+	// 500 KB documents could not have saved in tens of milliseconds.
 	ackBytes = 200
 	// initialFixed is the editor bootstrap (page load, script init)
 	// included in both arms of the initial-load test case. The 2011

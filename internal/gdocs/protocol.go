@@ -3,7 +3,11 @@
 // session is opened with a POST to /Doc?docID=id; the first save carries
 // the entire document in the docContents field; every subsequent save
 // carries only a delta; and the server answers each update with an Ack
-// holding contentFromServer and contentFromServerHash. The server is, as
+// holding contentFromServer and contentFromServerHash. Here those two
+// fields are filled only for an unversioned save (no version field): a
+// versioned save was applied to exactly the state its client holds, so
+// the ack carries the new version alone — what the client cannot derive,
+// and nothing that grows with the document. The server is, as
 // the paper puts it, "a glorified data store": none of its computation
 // depends on the document text, which is exactly why the mediating
 // extension can swap the text for ciphertext.
@@ -111,8 +115,12 @@ func ParseCatchup(body string) (Catchup, error) {
 
 // Ack is the server's response to a content update. The paper found the
 // client "works flawlessly when the values are replaced with an empty
-// string for contentFromServer, and 0 for contentFromServerHash" — which
-// is what the mediating extension does.
+// string for contentFromServer, and 0 for contentFromServerHash", and
+// that is the ack a versioned save gets: Ack{Version: n}, encoded as
+// contentFromServer=&contentFromServerHash=0&version=n. The client knew
+// the base version and sent the edit, so it already holds the stored
+// text. An unversioned save (a paper-era client, SaveRawDelta) cannot
+// derive it, so its ack echoes the stored content and its hash.
 type Ack struct {
 	ContentFromServer     string
 	ContentFromServerHash uint32

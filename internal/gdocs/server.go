@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -289,11 +290,7 @@ func (s *Server) setContents(ctx context.Context, docID, content string, baseVer
 	doc.content = content
 	doc.version++
 	doc.recordLocked(histEntry{id: saveID, full: true, version: doc.version})
-	return Ack{
-		ContentFromServer:     doc.content,
-		ContentFromServerHash: ContentHash(doc.content),
-		Version:               doc.version,
-	}, nil
+	return doc.ackLocked(baseVersion), nil
 }
 
 // persistLocked writes a document's next state through to the backend
@@ -368,11 +365,24 @@ func (s *Server) applyDelta(ctx context.Context, docID, wire string, baseVersion
 	doc.content = updated
 	doc.version++
 	doc.recordLocked(histEntry{id: saveID, wire: wire, version: doc.version})
+	return doc.ackLocked(baseVersion), nil
+}
+
+// ackLocked builds the acknowledgment of a save that just applied. The ack
+// carries what the client cannot derive: a versioned save (baseVersion >= 0,
+// already matched against the stored version) was applied to the state its
+// client holds, so the new version is all it needs, and no O(document)
+// encode or hash sits on its durable-ack path. Only an unversioned save
+// gets the contentFromServer echo and its hash.
+func (d *serverDoc) ackLocked(baseVersion int) Ack {
+	if baseVersion >= 0 {
+		return Ack{Version: d.version}
+	}
 	return Ack{
-		ContentFromServer:     doc.content,
-		ContentFromServerHash: ContentHash(doc.content),
-		Version:               doc.version,
-	}, nil
+		ContentFromServer:     d.content,
+		ContentFromServerHash: ContentHash(d.content),
+		Version:               d.version,
+	}
 }
 
 // DeltasSince returns the updates applied after version since as a
@@ -440,7 +450,10 @@ func (s *Server) featureReply(ctx context.Context, kind, docID string) (string, 
 // store operations. Requests pass admission control first: a draining
 // server and a client over its token-bucket rate both get a typed,
 // retryable rejection (Retry-After + HeaderRetryable) that the mediating
-// extension's retry backoff already knows how to absorb.
+// extension's retry backoff already knows how to absorb. Bodies go out
+// through io.WriteString, not fmt, which would copy each one into a print
+// buffer; a failed body write means the client is gone, so its error has
+// no one to go to.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		rejectRetryable(w, http.StatusServiceUnavailable, time.Second, ErrDraining)
@@ -467,7 +480,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		fmt.Fprint(w, "ok")
+		_, _ = io.WriteString(w, "ok")
 
 	case r.URL.Path == PathDoc && r.Method == http.MethodGet:
 		q := r.URL.Query()
@@ -486,7 +499,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if ok {
 				w.Header().Set(HeaderDeltas, "1")
 				w.Header().Set(HeaderDocVersion, strconv.Itoa(cu.Version))
-				fmt.Fprint(w, cu.Encode())
+				_, _ = io.WriteString(w, cu.Encode())
 				return
 			}
 			// History gap: fall through to the full-content response.
@@ -497,7 +510,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set(HeaderDocVersion, strconv.Itoa(version))
-		fmt.Fprint(w, content)
+		_, _ = io.WriteString(w, content)
 
 	case r.URL.Path == PathDoc && r.Method == http.MethodPost:
 		if err := r.ParseForm(); err != nil {
@@ -540,7 +553,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		default:
-			fmt.Fprint(w, ack.Encode())
+			_, _ = io.WriteString(w, ack.Encode())
 		}
 
 	case r.Method == http.MethodPost &&
@@ -561,7 +574,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		fmt.Fprint(w, out)
+		_, _ = io.WriteString(w, out)
 
 	default:
 		http.Error(w, "gdocs: unknown endpoint", http.StatusNotFound)

@@ -211,8 +211,9 @@ func TestUnknownRequestsBlocked(t *testing.T) {
 }
 
 func TestAckContentBlanked(t *testing.T) {
-	// The extension must blank contentFromServer/Hash so the ciphertext
-	// echo never confuses the client (§IV-A).
+	// The client must work from a blank contentFromServer/Hash (§IV-A):
+	// the extension acks locally with the version alone, and the server's
+	// own acks to its versioned saves carry no ciphertext echo either.
 	h := newHarness(t, core.ConfidentialityOnly, nil)
 	if err := h.client.Create(); err != nil {
 		t.Fatalf("Create: %v", err)
