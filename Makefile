@@ -61,7 +61,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzNormalizeIdempotent -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -fuzz=FuzzLoadTransport -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzTransformDelta -fuzztime=$(FUZZTIME) ./internal/blockdoc/
-	$(GO) test -fuzz=FuzzFingerEquivalence -fuzztime=$(FUZZTIME) ./internal/skiplist/
 	$(GO) test -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) ./internal/diff/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/stego/
 	$(GO) test -fuzz=FuzzDirective -fuzztime=$(FUZZTIME) ./internal/lint/
@@ -85,9 +84,9 @@ metrics-smoke:
 	echo "metrics-smoke: all expected families exported"
 
 # Short concurrent-load run: many sessions through one extension, with the
-# serial-vs-parallel crypto kernel comparison. Writes /tmp/BENCH_load.json.
+# whole-document encrypt kernel timings. Writes /tmp/BENCH_load.json.
 load-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration 2s -workers 4 -json /tmp/BENCH_load.json
+	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration 2s -json /tmp/BENCH_load.json
 
 # OT-pipeline gate: the committed-baseline load shape (16 sessions over 8
 # docs) through the pipelined save path. The run itself fails if any
@@ -96,7 +95,7 @@ load-smoke:
 # 640 ops/sec is ~5x the 119.5 the synchronous path recorded in
 # BENCH_load.json before the pipeline existed. Writes /tmp/BENCH_ot.json.
 ot-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 16 -docs 8 -duration 5s -workers 4 \
+	$(GO) run ./cmd/privedit-load -sessions 16 -docs 8 -duration 5s \
 		-inflight 4 -min-ops-sec 640 -max-conflict-resyncs 0 -json /tmp/BENCH_ot.json
 
 # Short chaos run: concurrent resilient sessions through a seeded fault
@@ -118,7 +117,7 @@ editbench-smoke:
 # itself already exits non-zero when a traced run attributes nothing).
 # Writes /tmp/BENCH_load_traced.json and /tmp/privedit-traces.jsonl.
 trace-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 4 -docs 2 -duration 2s -workers 4 \
+	$(GO) run ./cmd/privedit-load -sessions 4 -docs 2 -duration 2s \
 		-enc-bench=false -trace-out /tmp/privedit-traces.jsonl -json /tmp/BENCH_load_traced.json
 	@grep -q '"phases"' /tmp/BENCH_load_traced.json || { echo "trace-smoke: no phase breakdown in artifact"; exit 1; }
 	@grep -q '"phase": "save"' /tmp/BENCH_load_traced.json || { echo "trace-smoke: save phase missing from breakdown"; exit 1; }
@@ -130,7 +129,7 @@ trace-smoke:
 # `go tool pprof` with actual CPU samples recorded.
 PROFILE_DURATION ?= 30s
 profile-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration $(PROFILE_DURATION) -workers 4 \
+	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration $(PROFILE_DURATION) \
 		-enc-bench=false -cpuprofile /tmp/privedit-cpu.pprof -memprofile /tmp/privedit-mem.pprof
 	@test -s /tmp/privedit-cpu.pprof || { echo "profile-smoke: empty CPU profile"; exit 1; }
 	@test -s /tmp/privedit-mem.pprof || { echo "profile-smoke: empty heap profile"; exit 1; }
@@ -161,8 +160,8 @@ SOAK_DURATION ?= 30s
 store-soak:
 	$(GO) run ./cmd/privedit-load -store-soak -duration $(SOAK_DURATION) -workers 4
 
-# Hot-path benchmark: finger cache + delta coalescing vs baseline on the
-# burst-edit workload, with byte-identity cross-checks between variants.
+# Hot-path benchmark: delta coalescing vs baseline on the burst-edit
+# workload, with a plaintext equivalence check between the variants.
 # Writes /tmp/BENCH_hotpath.json (the committed BENCH_hotpath.json is one
 # such run at default scale).
 hotpath:

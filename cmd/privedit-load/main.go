@@ -3,8 +3,8 @@
 // reports sustained throughput and latency quantiles. It is the
 // concurrency companion to privedit-bench: where that tool reproduces the
 // paper's single-session figures, this one measures how the sharded store,
-// the per-document mediator sessions, and the parallel crypto kernels
-// behave under contention.
+// the per-document mediator sessions, and the crypto kernels behave under
+// contention.
 //
 // Usage:
 //
@@ -13,9 +13,8 @@
 //	privedit-load -duration 2s -json BENCH_load.json
 //	privedit-load -net-scale 1000          # with scaled netsim delays
 //
-// The -json artifact also embeds a serial-vs-parallel comparison of the
-// whole-document encrypt kernel across document sizes, pinning where the
-// parallel path starts to win.
+// The -json artifact also embeds the whole-document encrypt kernel's time
+// across document sizes.
 //
 // Tracing is on by default: every operation runs under a root span, and
 // the artifact gains a per-phase latency breakdown (load/decrypt/diff/
@@ -49,13 +48,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"privedit/internal/bench"
 	"privedit/internal/core"
 	"privedit/internal/netsim"
-	"privedit/internal/parallel"
 	"privedit/internal/trace"
 )
 
@@ -66,7 +63,7 @@ func main() {
 	docChars := flag.Int("doc-chars", 20_000, "initial document size, characters")
 	blockChars := flag.Int("block-chars", core.DefaultBlockChars, "block size b (1..8)")
 	schemeName := flag.String("scheme", "rpc", "encryption scheme: recb|rpc")
-	workers := flag.Int("workers", 0, "crypto worker bound (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "store bench/soak: concurrent store clients (0 = 4)")
 	reloadEvery := flag.Int("reload-every", 16, "every n-th op is a full document reload/decrypt (0 = deltas only)")
 	netScale := flag.Int("net-scale", 0, "enable netsim Broadband2009 delays divided by this factor (0 = off)")
 	inflight := flag.Int("inflight", 0, "per-document save queue depth (0 = mediator.DefaultInflight)")
@@ -74,7 +71,7 @@ func main() {
 	maxResyncs := flag.Int("max-conflict-resyncs", -1, "fail the run if conflict-driven full resyncs exceed this (-1 = no check)")
 	seed := flag.Int64("seed", 2011, "workload seed")
 	jsonPath := flag.String("json", "", "write BENCH_load.json artifact to this path")
-	encBench := flag.Bool("enc-bench", true, "include serial-vs-parallel encrypt kernel comparison in -json output")
+	encBench := flag.Bool("enc-bench", true, "include the whole-document encrypt kernel timings in -json output")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	tracing := flag.Bool("trace", true, "trace every operation and attribute latency per phase")
@@ -208,7 +205,6 @@ func main() {
 			DocChars:      *docChars,
 			Scheme:        scheme,
 			BlockChars:    *blockChars,
-			Workers:       *workers,
 			ReloadEvery:   *reloadEvery,
 			Seed:          *seed,
 			Fault:         profile,
@@ -225,7 +221,6 @@ func main() {
 		DocChars:    *docChars,
 		Scheme:      scheme,
 		BlockChars:  *blockChars,
-		Workers:     *workers,
 		ReloadEvery: *reloadEvery,
 		NetScale:    *netScale,
 		Inflight:    *inflight,
@@ -241,18 +236,15 @@ func main() {
 	if effDocs <= 0 {
 		effDocs = *sessions
 	}
-	fmt.Printf("privedit-load: %d sessions on %d docs, %v, %d-char docs, scheme=%s b=%d workers=%d (GOMAXPROCS=%d)\n",
-		*sessions, effDocs, *duration, *docChars, scheme, *blockChars,
-		parallel.Workers(*workers), runtime.GOMAXPROCS(0))
+	fmt.Printf("privedit-load: %d sessions on %d docs, %v, %d-char docs, scheme=%s b=%d\n",
+		*sessions, effDocs, *duration, *docChars, scheme, *blockChars)
 
 	// The kernel microbench runs before the load phase so it measures the
-	// kernels in a fresh heap: the load phase leaves behind a large live
-	// set that inflates the GC goal, and the serial reference kernel —
-	// which allocates per block — is flattered most by that quiet-GC
-	// window, skewing the comparison run to run.
+	// kernel in a fresh heap: the load phase leaves behind a large live
+	// set that inflates the GC goal and skews the timings run to run.
 	var encRows []bench.EncRow
 	if *jsonPath != "" && *encBench {
-		rows, err := bench.EncKernelBench(scheme, *blockChars, *workers,
+		rows, err := bench.EncKernelBench(scheme, *blockChars,
 			[]int{1_000, 10_000, 100_000, 400_000}, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "privedit-load: enc bench:", err)
@@ -313,20 +305,14 @@ func main() {
 		return
 	}
 	artifact := bench.LoadArtifact{
-		Title:     "Concurrent load: sharded store + parallel crypto kernels",
-		Crossover: parallel.MinParallelBlocks,
-		Load:      report,
+		Title: "Concurrent load: sharded store + crypto kernels",
+		Load:  report,
 	}
 	if encRows != nil {
 		artifact.EncBench = encRows
-		fmt.Println("  enc kernel serial vs parallel:")
+		fmt.Println("  enc kernel:")
 		for _, r := range encRows {
-			mode := "serial (below crossover)"
-			if r.UsedParallel {
-				mode = "parallel"
-			}
-			fmt.Printf("    %7d chars  serial %8.3fms  parallel %8.3fms  speedup %.2fx  [%s]\n",
-				r.Chars, r.SerialMs, r.ParallelMs, r.Speedup, mode)
+			fmt.Printf("    %7d chars  %6d blocks  %8.3fms\n", r.Chars, r.Blocks, r.Ms)
 		}
 	}
 	out, err := artifact.MarshalIndent()

@@ -54,8 +54,6 @@ type ChaosConfig struct {
 	// ConfidentialityIntegrity, DefaultBlockChars).
 	Scheme     core.Scheme
 	BlockChars int
-	// Workers bounds the parallel crypto kernels (0 = GOMAXPROCS).
-	Workers int
 	// ReloadEvery makes every n-th operation a full reload. 0 disables.
 	ReloadEvery int
 	// Seed drives the workload and, unless Fault.Seed is set, the faults.
@@ -182,7 +180,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	faults := netsim.NewFaultTransport(ts.Client().Transport, cfg.Fault)
 	faults.SetEnabled(false) // clean network while seeding
 
-	opts := core.Options{Scheme: cfg.Scheme, BlockChars: cfg.BlockChars, Workers: cfg.Workers}
+	opts := core.Options{Scheme: cfg.Scheme, BlockChars: cfg.BlockChars}
 	ext := mediator.New(faults, mediator.StaticPassword("chaos-pw", opts),
 		mediator.WithResilience(cfg.Resilience))
 	httpc := ext.Client()

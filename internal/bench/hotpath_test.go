@@ -3,14 +3,14 @@ package bench
 import "testing"
 
 // TestHotpathEquivalence runs a small hot-path pass; Hotpath itself fails
-// if any variant's plaintext diverges or the finger cache changes bytes.
+// if the coalesced plaintext diverges from the baseline's.
 func TestHotpathEquivalence(t *testing.T) {
 	art, err := Hotpath(HotpathConfig{DocChars: 2_000, Ops: 150, BurstLen: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(art.Rows) != 5 {
-		t.Fatalf("expected 5 variants, got %d", len(art.Rows))
+	if len(art.Rows) != 2 {
+		t.Fatalf("expected 2 variants, got %d", len(art.Rows))
 	}
 	for _, r := range art.Rows {
 		if r.Ops != 150 {
@@ -19,7 +19,7 @@ func TestHotpathEquivalence(t *testing.T) {
 	}
 	// Coalescing must shrink the cumulative ciphertext delta traffic: one
 	// splice per burst instead of one per keystroke.
-	if c, b := art.Rows[2].CipherBytes, art.Rows[0].CipherBytes; c >= b {
+	if c, b := art.Rows[1].CipherBytes, art.Rows[0].CipherBytes; c >= b {
 		t.Fatalf("coalescing did not reduce cipher delta bytes: %d vs %d", c, b)
 	}
 }

@@ -1,7 +1,7 @@
 // Load harness: drives many concurrent editing sessions through the
 // mediating extension against the simulated service, exercising the
 // sharded document store, the per-document mediator sessions, and the
-// parallel Enc/Dec kernels all at once. This is the concurrency
+// Enc/Dec kernels all at once. This is the concurrency
 // counterpart of the paper's single-session macro benchmarks (§VII-C):
 // instead of asking "how slow is one encrypted editing session", it asks
 // "how many encrypted editing sessions can one extension and one server
@@ -26,7 +26,6 @@ import (
 	"privedit/internal/mediator"
 	"privedit/internal/netsim"
 	"privedit/internal/obs"
-	"privedit/internal/parallel"
 	"privedit/internal/recb"
 	"privedit/internal/rpcmode"
 	"privedit/internal/trace"
@@ -48,8 +47,6 @@ type LoadConfig struct {
 	// ConfidentialityIntegrity, DefaultBlockChars).
 	Scheme     core.Scheme
 	BlockChars int
-	// Workers bounds the parallel crypto kernels (0 = GOMAXPROCS).
-	Workers int
 	// ReloadEvery makes every n-th operation a full document reload — a
 	// whole-document decrypt through the mediator — instead of an
 	// incremental delta save. 0 disables reloads.
@@ -110,7 +107,6 @@ type LoadReport struct {
 	DocChars   int     `json:"doc_chars"`
 	Scheme     string  `json:"scheme"`
 	BlockChars int     `json:"block_chars"`
-	Workers    int     `json:"workers"`
 
 	Ops        int64   `json:"ops"`
 	Reloads    int64   `json:"reloads"`
@@ -189,7 +185,6 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	opts := core.Options{
 		Scheme:     cfg.Scheme,
 		BlockChars: cfg.BlockChars,
-		Workers:    cfg.Workers,
 	}
 	ext := mediator.New(transport, mediator.StaticPassword("load-pw", opts), mediator.WithPipeline(cfg.Inflight))
 	httpc := ext.Client()
@@ -307,7 +302,6 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		DocChars:   cfg.DocChars,
 		Scheme:     cfg.Scheme.String(),
 		BlockChars: cfg.BlockChars,
-		Workers:    parallel.Workers(cfg.Workers),
 
 		Ops:        ops.Load(),
 		Reloads:    reloads.Load(),
@@ -361,29 +355,40 @@ func drainTraces(col *trace.Collector) []trace.Trace {
 	return col.Snapshot()
 }
 
-// EncRow compares the serial and parallel whole-document encrypt kernel at
-// one document size.
+// EncRow times the whole-document encrypt kernel at one document size.
 type EncRow struct {
-	Chars        int     `json:"chars"`
-	Blocks       int     `json:"blocks"`
-	UsedParallel bool    `json:"used_parallel"`
-	SerialMs     float64 `json:"serial_ms"`
-	ParallelMs   float64 `json:"parallel_ms"`
-	Speedup      float64 `json:"speedup"`
+	Chars  int     `json:"chars"`
+	Blocks int     `json:"blocks"`
+	Ms     float64 `json:"ms"`
 }
 
 // EncKernelBench times the whole-document Enc kernel — codec.EncryptAll,
-// the chunks-to-ciphertext step the artifact key names — with the reference
-// serial per-block kernel (Workers=1) and with the batched arena kernel
-// (Workers=workers) at each size, for the given scheme. Document assembly
-// (skiplist build, transport encode) is deliberately outside the timed
-// region: those costs are shared by both kernels and measured elsewhere
-// (the load phases and the hotpath experiment). The batched codec only
-// fans out to multiple goroutines above the crossover threshold — the
-// row's UsedParallel reports whether it actually did.
-func EncKernelBench(scheme core.Scheme, blockChars, workers int, sizes []int, seed int64) ([]EncRow, error) {
+// the chunks-to-ciphertext step — at each size, for the given scheme.
+// Document assembly (skiplist build, transport encode) is deliberately
+// outside the timed region: those costs are measured elsewhere (the load
+// phases and the hotpath experiment). Each row reports the best of 20–30
+// trials, each run from a freshly collected heap: without the collection,
+// whether a GC cycle lands inside a given trial depends on allocation
+// phase left over from prior trials, and the per-size bests become
+// bimodal run to run. The best trial is robust against noisy neighbors.
+func EncKernelBench(scheme core.Scheme, blockChars int, sizes []int, seed int64) ([]EncRow, error) {
 	runtime.GC() // level the field when a load phase ran in this process
 	gen := workload.NewGen(seed)
+	// The production configuration: CSPRNG nonce source. The key only
+	// schedules AES, so timing is key-independent.
+	key := []byte("bench-kernel-key")
+	var (
+		codec blockdoc.Codec
+		err   error
+	)
+	if scheme == core.ConfidentialityOnly {
+		codec, err = recb.New(key, crypt.CryptoNonceSource{})
+	} else {
+		codec, err = rpcmode.New(key, crypt.CryptoNonceSource{})
+	}
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]EncRow, 0, len(sizes))
 	for _, chars := range sizes {
 		chunks := chunkDoc([]byte(gen.Document(chars)), blockChars)
@@ -391,18 +396,18 @@ func EncKernelBench(scheme core.Scheme, blockChars, workers int, sizes []int, se
 		if chars <= 16_384 {
 			trials = 30
 		}
-		serial, par, err := timeEncKernel(scheme, workers, chunks, trials)
-		if err != nil {
-			return nil, err
+		var best time.Duration
+		for i := 0; i < trials; i++ {
+			runtime.GC()
+			t0 := time.Now()
+			if _, _, _, err := codec.EncryptAll(chunks); err != nil {
+				return nil, err
+			}
+			if d := time.Since(t0); best == 0 || d < best {
+				best = d
+			}
 		}
-		rows = append(rows, EncRow{
-			Chars:        chars,
-			Blocks:       len(chunks),
-			UsedParallel: parallel.Plan(len(chunks), workers, parallel.MinParallelBlocks) > 1,
-			SerialMs:     serial.Seconds() * 1000,
-			ParallelMs:   par.Seconds() * 1000,
-			Speedup:      serial.Seconds() / par.Seconds(),
-		})
+		rows = append(rows, EncRow{Chars: chars, Blocks: len(chunks), Ms: best.Seconds() * 1000})
 	}
 	return rows, nil
 }
@@ -421,74 +426,11 @@ func chunkDoc(raw []byte, blockChars int) [][]byte {
 	return chunks
 }
 
-// kernelCodec is the slice of blockdoc.Codec the kernel bench drives.
-type kernelCodec interface {
-	blockdoc.Codec
-	SetWorkers(int)
-}
-
-// newKernelCodec builds a codec in the production configuration (CSPRNG
-// nonce source; the key only schedules AES, so timing is key-independent).
-func newKernelCodec(scheme core.Scheme) (kernelCodec, error) {
-	key := []byte("bench-kernel-key")
-	if scheme == core.ConfidentialityOnly {
-		return recb.New(key, crypt.CryptoNonceSource{})
-	}
-	return rpcmode.New(key, crypt.CryptoNonceSource{})
-}
-
-// timeEncKernel returns the fastest serial-kernel and batched-kernel
-// EncryptAll over trials rounds. Trials interleave the two kernels so
-// scheduler drift hits both equally, each trial runs from a freshly
-// collected heap so GC phase cannot skew one side, and each row reports
-// the best trial, which is robust against noisy neighbors.
-func timeEncKernel(scheme core.Scheme, workers int, chunks [][]byte, trials int) (serial, par time.Duration, err error) {
-	serialC, err := newKernelCodec(scheme)
-	if err != nil {
-		return 0, 0, err
-	}
-	serialC.SetWorkers(1)
-	parC, err := newKernelCodec(scheme)
-	if err != nil {
-		return 0, 0, err
-	}
-	parC.SetWorkers(workers)
-	one := func(c kernelCodec) (time.Duration, error) {
-		// Collect before every timed call so each trial starts from the
-		// same heap state: without this, whether a GC cycle lands inside
-		// a given trial depends on allocation phase left over from prior
-		// trials, and the per-size bests become bimodal run to run.
-		runtime.GC()
-		t0 := time.Now()
-		if _, _, _, err := c.EncryptAll(chunks); err != nil {
-			return 0, err
-		}
-		return time.Since(t0), nil
-	}
-	for i := 0; i < trials; i++ {
-		d, err := one(serialC)
-		if err != nil {
-			return 0, 0, err
-		}
-		if serial == 0 || d < serial {
-			serial = d
-		}
-		if d, err = one(parC); err != nil {
-			return 0, 0, err
-		}
-		if par == 0 || d < par {
-			par = d
-		}
-	}
-	return serial, par, nil
-}
-
 // LoadArtifact is the combined BENCH_load.json document.
 type LoadArtifact struct {
-	Title     string     `json:"title"`
-	EncBench  []EncRow   `json:"enc_kernel_serial_vs_parallel"`
-	Crossover int        `json:"crossover_blocks"`
-	Load      LoadReport `json:"load"`
+	Title    string     `json:"title"`
+	EncBench []EncRow   `json:"enc_kernel"`
+	Load     LoadReport `json:"load"`
 }
 
 // MarshalIndent renders the artifact for the committed JSON file.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"privedit/internal/crypt"
-	"privedit/internal/parallel"
 	"privedit/internal/skiplist"
 )
 
@@ -24,11 +23,6 @@ type Document struct {
 	prefixChars  int // transport chars of header+scheme prefix
 	recordChars  int // transport chars per record
 	trailerChars int // transport chars of trailer
-
-	// workers bounds the goroutines used when (de)serializing the record
-	// stream (0 = GOMAXPROCS, 1 = serial). Small documents always take
-	// the serial path; see internal/parallel.
-	workers int
 
 	// coalesceOff disables delta coalescing in TransformDelta (benchmarks
 	// measuring the uncoalesced splice loop only).
@@ -75,16 +69,6 @@ func New(codec Codec, blockChars int, salt [SaltLen]byte, keyCheck [KeyCheckLen]
 	}
 	return d, nil
 }
-
-// SetWorkers bounds the worker goroutines used by the container
-// (de)serialization kernels: 0 selects GOMAXPROCS, 1 forces serial. The
-// serialized container is identical either way.
-func (d *Document) SetWorkers(n int) { d.workers = n }
-
-// SetFinger toggles the block index's search-finger cache (on by default).
-// The cache is an internal accelerator — search results and serialized
-// bytes are identical either way; the toggle exists for benchmarks.
-func (d *Document) SetFinger(enabled bool) { d.list.SetFinger(enabled) }
 
 // SetCoalesce toggles delta coalescing in TransformDelta (on by default).
 // Coalescing never changes the resulting document, only how many splices —
@@ -209,24 +193,17 @@ func (d *Document) LoadTransport(transport string) error {
 
 	// Decode the record stream into one arena: each record is a strided
 	// sub-slice of a single backing array, decoded in place with the
-	// zero-allocation transport decoder (2n small allocations per load
-	// before the batched kernels).
+	// zero-allocation transport decoder.
 	n := len(body) / d.recordChars
 	rb := d.codec.RecordBytes()
 	records := make([][]byte, n)
 	raw := make([]byte, n*rb)
-	decodeRange := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			rec := raw[i*rb : (i+1)*rb : (i+1)*rb]
-			if err := crypt.DecodeTransportInto(rec, body[i*d.recordChars:(i+1)*d.recordChars]); err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
-			}
-			records[i] = rec
+	for i := range records {
+		rec := raw[i*rb : (i+1)*rb : (i+1)*rb]
+		if err := crypt.DecodeTransportInto(rec, body[i*d.recordChars:(i+1)*d.recordChars]); err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
 		}
-		return nil
-	}
-	if err := parallel.Range(n, parallel.Plan(n, d.workers, parallel.MinParallelBlocks), decodeRange); err != nil {
-		return err
+		records[i] = rec
 	}
 
 	blocks, err := d.codec.DecryptAll(schemePrefix, records, trailerRaw)
@@ -258,42 +235,20 @@ func (d *Document) Plaintext() string {
 
 // Transport serializes the full ciphertext container: what the server
 // stores in place of the plaintext document. Every record occupies a fixed
-// character slot, so large documents encode their record stream in parallel
-// into one shared buffer.
+// character slot, so each record is encoded into its slot during the list
+// walk itself — no per-record string, no gather.
 //
 //taint:sanitizer encodes encrypted records only
 func (d *Document) Transport() string {
-	n := d.list.Len()
 	buf := make([]byte, d.TransportLen())
 	prefixRaw := append(d.header.encode(), d.schemePrefix...)
 	crypt.EncodeTransportInto(buf[:d.prefixChars], prefixRaw)
-	if w := parallel.Plan(n, d.workers, parallel.MinParallelBlocks); w > 1 {
-		// Parallel path: gather the block pointers with one cheap list
-		// walk, then let each worker Base32-encode its record range
-		// directly into the record's fixed offset of the output buffer.
-		blocks := make([]*Block, 0, n)
-		_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
-			blocks = append(blocks, blk)
-			return true
-		})
-		_ = parallel.Range(n, w, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				off := d.prefixChars + i*d.recordChars
-				crypt.EncodeTransportInto(buf[off:off+d.recordChars], blocks[i].Record)
-			}
-			return nil
-		})
-	} else {
-		// Serial path: encode each record into its fixed slot during the
-		// list walk itself — no per-record string, no gather.
-		i := 0
-		_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
-			off := d.prefixChars + i*d.recordChars
-			crypt.EncodeTransportInto(buf[off:off+d.recordChars], blk.Record)
-			i++
-			return true
-		})
-	}
+	off := d.prefixChars
+	_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
+		crypt.EncodeTransportInto(buf[off:off+d.recordChars], blk.Record)
+		off += d.recordChars
+		return true
+	})
 	if d.trailerChars > 0 {
 		crypt.EncodeTransportInto(buf[len(buf)-d.trailerChars:], d.trailer)
 	}

@@ -76,8 +76,9 @@ var (
 
 // Options configures an Editor. It is the single options path shared by
 // every constructor-shaped entry point — NewEditor, OpenWith, DecryptWith,
-// and RekeyWith — replacing the ad-hoc positional NonceSource parameters
-// the old Open/Rekey/Decrypt signatures carried.
+// and RekeyWith. It holds only what the container depends on: the scheme,
+// the block size and the nonce source. There is no kernel or performance
+// knob: every call runs the codec's one kernel on the caller's goroutine.
 type Options struct {
 	// Scheme selects rECB or RPC. Default: ConfidentialityIntegrity.
 	// Ignored by OpenWith/DecryptWith, which read it from the container.
@@ -89,11 +90,6 @@ type Options struct {
 	// crypt.CryptoNonceSource{}. Override only in tests and reproducible
 	// benchmarks.
 	Nonces crypt.NonceSource
-	// Workers bounds the goroutines the whole-document Enc/Dec kernels
-	// may use: 0 selects GOMAXPROCS, 1 forces the serial path. Documents
-	// below the crossover threshold (internal/parallel) run serially
-	// regardless. The ciphertext is identical either way.
-	Workers int
 }
 
 func (o *Options) fill() {
@@ -113,9 +109,8 @@ func (o *Options) fill() {
 // callers that share one document across goroutines (the mediator's
 // per-document sessions) serialize access themselves.
 type Editor struct {
-	scheme  Scheme
-	doc     *blockdoc.Document
-	workers int
+	scheme Scheme
+	doc    *blockdoc.Document
 }
 
 // keyCheck computes the header password verifier for a derived key.
@@ -129,26 +124,15 @@ func keyCheck(key, salt []byte) [blockdoc.KeyCheckLen]byte {
 	return kc
 }
 
-func newCodec(scheme Scheme, key []byte, nonces crypt.NonceSource, workers int) (blockdoc.Codec, error) {
-	var (
-		codec blockdoc.Codec
-		err   error
-	)
+func newCodec(scheme Scheme, key []byte, nonces crypt.NonceSource) (blockdoc.Codec, error) {
 	switch scheme {
 	case ConfidentialityOnly:
-		codec, err = recb.New(crypt.Subkey(key, "recb"), nonces)
+		return recb.New(crypt.Subkey(key, "recb"), nonces)
 	case ConfidentialityIntegrity:
-		codec, err = rpcmode.New(crypt.Subkey(key, "rpc"), nonces)
+		return rpcmode.New(crypt.Subkey(key, "rpc"), nonces)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadScheme, scheme)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if w, ok := codec.(interface{ SetWorkers(int) }); ok {
-		w.SetWorkers(workers)
-	}
-	return codec, nil
 }
 
 // NewEditor creates the encryption state for a brand-new document: a fresh
@@ -160,7 +144,7 @@ func NewEditor(password string, opts Options) (*Editor, error) {
 	crypt.PutUint64(salt[:8], opts.Nonces.Nonce64())
 	crypt.PutUint64(salt[8:], opts.Nonces.Nonce64())
 	key := crypt.DeriveDocumentKey(password, salt[:])
-	codec, err := newCodec(opts.Scheme, key, opts.Nonces, opts.Workers)
+	codec, err := newCodec(opts.Scheme, key, opts.Nonces)
 	if err != nil {
 		return nil, err
 	}
@@ -168,15 +152,14 @@ func NewEditor(password string, opts Options) (*Editor, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc.SetWorkers(opts.Workers)
-	return &Editor{scheme: opts.Scheme, doc: doc, workers: opts.Workers}, nil
+	return &Editor{scheme: opts.Scheme, doc: doc}, nil
 }
 
 // OpenWith restores the encryption state from an existing ciphertext
 // container (Dec): the scheme, block size, and salt are read from the
 // container header; the key is re-derived from the password and checked
-// before any decryption is attempted. Only opts.Nonces and opts.Workers
-// are consulted — scheme and block size always come from the container.
+// before any decryption is attempted. Only opts.Nonces is consulted —
+// scheme and block size always come from the container.
 func OpenWith(password, transport string, opts Options) (*Editor, error) {
 	defer metricOpen.Start().End()
 	if opts.Nonces == nil {
@@ -201,7 +184,7 @@ func OpenWith(password, transport string, opts Options) (*Editor, error) {
 	if kc != h.KeyCheck {
 		return nil, ErrWrongPassword
 	}
-	codec, err := newCodec(scheme, key, opts.Nonces, opts.Workers)
+	codec, err := newCodec(scheme, key, opts.Nonces)
 	if err != nil {
 		return nil, err
 	}
@@ -209,11 +192,10 @@ func OpenWith(password, transport string, opts Options) (*Editor, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc.SetWorkers(opts.Workers)
 	if err := doc.LoadTransport(transport); err != nil {
 		return nil, err
 	}
-	return &Editor{scheme: scheme, doc: doc, workers: opts.Workers}, nil
+	return &Editor{scheme: scheme, doc: doc}, nil
 }
 
 // Scheme returns the editor's protection level.
@@ -292,9 +274,8 @@ func (e *Editor) Splice(pos, del int, ins string) (delta.Delta, error) {
 // drawn, a new key derived, and every block re-encrypted with fresh
 // nonces. The returned container replaces the server's copy wholesale (a
 // key change cannot be expressed as an incremental delta without leaking
-// that the key did not really change). Zero-valued options inherit from
-// the current editor: scheme and block size always carry over, and
-// opts.Workers == 0 keeps the editor's worker bound.
+// that the key did not really change). Scheme and block size always carry
+// over from the current editor; only opts.Nonces is consulted.
 //
 //taint:sanitizer re-encrypts wholesale; returns ciphertext container
 func (e *Editor) RekeyWith(newPassword string, opts Options) (string, error) {
@@ -302,15 +283,10 @@ func (e *Editor) RekeyWith(newPassword string, opts Options) (string, error) {
 	if opts.Nonces == nil {
 		opts.Nonces = crypt.CryptoNonceSource{}
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = e.workers
-	}
 	replacement, err := NewEditor(newPassword, Options{
 		Scheme:     e.scheme,
 		BlockChars: e.BlockChars(),
 		Nonces:     opts.Nonces,
-		Workers:    workers,
 	})
 	if err != nil {
 		return "", err
@@ -320,7 +296,6 @@ func (e *Editor) RekeyWith(newPassword string, opts Options) (string, error) {
 		return "", err
 	}
 	e.doc = replacement.doc
-	e.workers = workers
 	return transport, nil
 }
 
@@ -340,7 +315,7 @@ func (e *Editor) Stats() blockdoc.Stats { return e.doc.Stats() }
 func (e *Editor) SelfCheck() error { return e.doc.SelfCheck() }
 
 // DecryptWith is a one-shot decryption of a container under explicit
-// options (only Nonces and Workers are consulted).
+// options (only Nonces is consulted).
 func DecryptWith(password, transport string, opts Options) (string, error) {
 	ed, err := OpenWith(password, transport, opts)
 	if err != nil {

@@ -19,12 +19,12 @@ type NonceSource interface {
 }
 
 // NonceBatcher is an optional NonceSource extension for bulk draws. The
-// batched Enc kernels need one nonce per block; drawing them through a
-// single call amortizes the per-draw cost (a getrandom syscall for the
-// CSPRNG source, a mutex acquisition for the seeded one) across the run.
+// Enc kernels need one nonce per block; drawing them through a single
+// call amortizes the per-draw cost (a getrandom syscall for the CSPRNG
+// source, a mutex acquisition for the seeded one) across the run.
 // Implementations must produce exactly the sequence that len(dst)
-// consecutive Nonce64 calls would, so serial and batched kernels stay
-// byte-identical.
+// consecutive Nonce64 calls would, so a batched draw and per-block draws
+// stay byte-identical.
 type NonceBatcher interface {
 	// Nonce64Batch fills dst with the next len(dst) nonces.
 	Nonce64Batch(dst []uint64)

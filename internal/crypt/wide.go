@@ -93,7 +93,7 @@ func xor16(buf []byte, f *[BlockSize]byte) {
 // disappear entirely (the Feistel halves alternate roles in place).
 //
 // buf must be a whole number of wide blocks. Callers bound runs to a few
-// KiB (see the batched codec kernels) so a run's four sweeps stay in L1.
+// KiB (see the rpcmode kernels) so a run's four sweeps stay in L1.
 //
 //taint:sanitizer Enc kernel: buf is ciphertext on return
 func (w *WidePRP) EncryptRun(buf []byte) error {

@@ -1,7 +1,7 @@
 // Package e2e holds whole-system integration tests: every layer of the
 // reproduction composed together — client application, covert mitigations,
 // stego transport, mediating extension, simulated network, simulated
-// service, replication — exercised over real HTTP.
+// service — exercised over real HTTP.
 package e2e
 
 import (
@@ -17,7 +17,6 @@ import (
 	"privedit/internal/gdocs"
 	"privedit/internal/mediator"
 	"privedit/internal/netsim"
-	"privedit/internal/replica"
 	"privedit/internal/stego"
 	"privedit/internal/workload"
 )
@@ -212,66 +211,6 @@ func TestStegoOverDelayedNetwork(t *testing.T) {
 	}
 	if client2.Text() != "well hidden in plain sight" {
 		t.Errorf("round trip = %q", client2.Text())
-	}
-}
-
-// TestReplicatedEncryptedEditing composes the replica store with the
-// encryption core: an editing session mirrored to three providers, one of
-// which turns malicious mid-session.
-func TestReplicatedEncryptedEditing(t *testing.T) {
-	var servers []*gdocs.Server
-	var providers []replica.Provider
-	for i := 0; i < 3; i++ {
-		s := gdocs.NewServer()
-		ts := httptest.NewServer(s)
-		defer ts.Close()
-		servers = append(servers, s)
-		providers = append(providers, replica.Provider{
-			Name: string(rune('A' + i)), Base: ts.URL, HTTP: ts.Client(),
-		})
-	}
-	store, err := replica.New("triplicated", providers...)
-	if err != nil {
-		t.Fatalf("replica.New: %v", err)
-	}
-	ed, err := core.NewEditor("pw", opts(core.ConfidentialityIntegrity, 30))
-	if err != nil {
-		t.Fatalf("NewEditor: %v", err)
-	}
-	if err := store.Create(); err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	transport, err := ed.Encrypt("survives one bad provider")
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	if err := store.SaveFull(transport); err != nil {
-		t.Fatalf("SaveFull: %v", err)
-	}
-
-	// Provider B goes rogue: zeroes out its copy.
-	if _, err := servers[1].SetContents(context.Background(), "triplicated", "VANDALIZED", -1); err != nil {
-		t.Fatalf("vandalize: %v", err)
-	}
-
-	// Editing continues: the delta save detects B's divergence and
-	// repairs it in stride.
-	cd, err := ed.Splice(0, 0, "still ")
-	if err != nil {
-		t.Fatalf("Splice: %v", err)
-	}
-	if err := store.SaveDelta(cd, ed.Transport()); err != nil {
-		t.Fatalf("SaveDelta: %v", err)
-	}
-	for i, s := range servers {
-		c, _, err := s.Content(context.Background(), "triplicated")
-		if err != nil {
-			t.Fatalf("provider %d content: %v", i, err)
-		}
-		got, err := core.Decrypt("pw", c)
-		if err != nil || got != "still survives one bad provider" {
-			t.Errorf("provider %d = (%q, %v)", i, got, err)
-		}
 	}
 }
 

@@ -271,12 +271,12 @@ func (e *Extension) editorLocked(sess *session, docID string) (*core.Editor, err
 // openEditorLocked (re)opens the encryption state from a server-held
 // container. Callers must hold sess.mu.
 func (e *Extension) openEditorLocked(sess *session, docID, transport string) (*core.Editor, error) {
-	password, opts, err := e.passwords(docID)
+	password, _, err := e.passwords(docID)
 	if err != nil {
 		metricPasswordFailures.Inc()
 		return nil, err
 	}
-	ed, err := core.OpenWith(password, transport, core.Options{Workers: opts.Workers})
+	ed, err := core.OpenWith(password, transport, core.Options{})
 	if err != nil {
 		if errors.Is(err, core.ErrWrongPassword) {
 			metricPasswordFailures.Inc()

@@ -22,7 +22,6 @@ import (
 
 	"privedit/internal/blockdoc"
 	"privedit/internal/crypt"
-	"privedit/internal/parallel"
 )
 
 // SchemeID is the container header byte identifying rECB.
@@ -46,12 +45,6 @@ type Codec struct {
 	// consistent with the prefix that call returns).
 	mu sync.Mutex
 	r0 uint64
-
-	// workers bounds the goroutines used by the whole-document kernels
-	// (0 = GOMAXPROCS, 1 = the reference serial per-block kernel).
-	// Documents below threshold blocks never fan out.
-	workers   int
-	threshold int
 }
 
 var _ blockdoc.Codec = (*Codec)(nil)
@@ -63,15 +56,8 @@ func New(key []byte, nonces crypt.NonceSource) (*Codec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recb: %w", err)
 	}
-	return &Codec{prp: prp, nonces: nonces, threshold: parallel.MinParallelBlocks}, nil
+	return &Codec{prp: prp, nonces: nonces}, nil
 }
-
-// SetWorkers selects the kernel used by EncryptAll/DecryptAll/Splice:
-// 1 pins the reference serial per-block kernel, anything else selects the
-// batched arena kernel (0 = fan out up to GOMAXPROCS above the crossover
-// threshold). The ciphertext is identical either way — nonces are always
-// drawn in document order.
-func (c *Codec) SetWorkers(n int) { c.workers = n }
 
 // Name implements blockdoc.Codec.
 func (c *Codec) Name() string { return "rECB" }
@@ -106,25 +92,18 @@ func (c *Codec) publishR0(r0 uint64) {
 	c.mu.Unlock()
 }
 
-// padChars returns the 64-bit zero-padded data field for a block.
+// padChars returns the 64-bit zero-padded data field for a block. Full
+// blocks — the overwhelming majority at any b — skip the staging copy.
 func padChars(chars []byte) uint64 {
+	if len(chars) == maxChars {
+		return crypt.Uint64(chars)
+	}
 	var d [8]byte
 	copy(d[:], chars)
 	return crypt.Uint64(d[:])
 }
 
-// padCharsFast is the batched kernel's padChars: full blocks — the
-// overwhelming majority at any b — skip the zero-pad staging copy. The
-// reference kernel keeps the staged padChars so the serial baseline
-// preserves the original per-block kernel's cost model.
-func padCharsFast(chars []byte) uint64 {
-	if len(chars) == maxChars {
-		return crypt.Uint64(chars)
-	}
-	return padChars(chars)
-}
-
-// risPool recycles the batched kernels' bulk nonce scratch. Every nonce is
+// risPool recycles the kernel's bulk nonce scratch. Every nonce is
 // copied into its output block during assembly, so the slice is dead by
 // the time a call returns and can be handed to the next one.
 var risPool = sync.Pool{New: func() any { return new([]uint64) }}
@@ -138,57 +117,8 @@ func getRis(n int) *[]uint64 {
 	return p
 }
 
-// encryptBlockNonce encrypts one block under the given nonce: the
-// reference per-block kernel. It reads only immutable codec state (r0 is
-// threaded through as a parameter), so distinct calls may run concurrently.
-func (c *Codec) encryptBlockNonce(chars []byte, r0, ri uint64) (*blockdoc.Block, error) {
-	if len(chars) == 0 || len(chars) > maxChars {
-		return nil, fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(chars))
-	}
-	var pt [crypt.BlockSize]byte
-	crypt.PutUint64(pt[:8], r0^ri)
-	crypt.PutUint64(pt[8:], ri^padChars(chars))
-	rec := make([]byte, recordBytes)
-	rec[0] = byte(len(chars))
-	if err := c.prp.Encrypt(rec[1:], pt[:]); err != nil {
-		return nil, err
-	}
-	own := make([]byte, len(chars))
-	copy(own, chars)
-	return &blockdoc.Block{Chars: own, Record: rec, Nonce: ri}, nil
-}
-
-// decryptBlock inverts encryptBlockNonce: the reference per-block kernel.
-func (c *Codec) decryptBlock(rec []byte, r0 uint64) (*blockdoc.Block, error) {
-	if len(rec) != recordBytes {
-		return nil, fmt.Errorf("%w: record of %d bytes", blockdoc.ErrCorrupt, len(rec))
-	}
-	count := int(rec[0])
-	if count < 1 || count > maxChars {
-		return nil, fmt.Errorf("%w: block count %d", blockdoc.ErrCorrupt, count)
-	}
-	var pt [crypt.BlockSize]byte
-	if err := c.prp.Decrypt(pt[:], rec[1:]); err != nil {
-		return nil, err
-	}
-	ri := crypt.Uint64(pt[:8]) ^ r0
-	d := crypt.Uint64(pt[8:]) ^ ri
-	var db [8]byte
-	crypt.PutUint64(db[:], d)
-	for _, b := range db[count:] {
-		if b != 0 {
-			return nil, fmt.Errorf("%w: nonzero block padding", blockdoc.ErrCorrupt)
-		}
-	}
-	chars := make([]byte, count)
-	copy(chars, db[:count])
-	recOwn := make([]byte, recordBytes)
-	copy(recOwn, rec)
-	return &blockdoc.Block{Chars: chars, Record: recOwn, Nonce: ri}, nil
-}
-
-// arena carries the per-call backing arrays of the batched kernels: one
-// allocation per array per call instead of two small makes per block. Each
+// arena carries the per-call backing arrays of the kernel: one allocation
+// per array per call instead of two small makes per block. Each
 // block's record and character slices are strided sub-slices (capped with
 // full slice expressions, so a later append can never bleed into a
 // neighbor's region).
@@ -218,51 +148,60 @@ func (a *arena) charSlot(i, n int) []byte {
 	return a.chars[i*maxChars : i*maxChars+n : i*maxChars+n]
 }
 
-// encryptBatch is the batched Enc kernel: it seals blocks [lo, hi) into
-// the arena. The plaintext is assembled directly in each record's AES slot
-// and encrypted in place, so the kernel allocates nothing.
-func (c *Codec) encryptBatch(chunks [][]byte, ris []uint64, r0 uint64, a arena, blocks []*blockdoc.Block, lo, hi int) error {
-	for i := lo; i < hi; i++ {
-		ch := chunks[i]
+// seal is the Enc kernel: it draws one nonce per chunk in document order
+// (so the ciphertext is deterministic for a given source) and seals the
+// chunks under the container nonce r0 into one arena. The plaintext is
+// assembled directly in each record's AES slot and encrypted in place.
+func (c *Codec) seal(chunks [][]byte, r0 uint64) ([]*blockdoc.Block, error) {
+	n := len(chunks)
+	rp := getRis(n)
+	defer risPool.Put(rp)
+	ris := *rp
+	crypt.FillNonces(c.nonces, ris)
+	a := newArena(n)
+	blocks := make([]*blockdoc.Block, n)
+	for i, ch := range chunks {
 		if len(ch) == 0 || len(ch) > maxChars {
-			return fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(ch))
+			return nil, fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(ch))
 		}
 		rec := a.rec(i)
 		rec[0] = byte(len(ch))
 		crypt.PutUint64(rec[1:9], r0^ris[i])
-		crypt.PutUint64(rec[9:17], ris[i]^padCharsFast(ch))
+		crypt.PutUint64(rec[9:17], ris[i]^padChars(ch))
 		if err := c.prp.Encrypt(rec[1:], rec[1:]); err != nil {
-			return err
+			return nil, err
 		}
 		own := a.charSlot(i, len(ch))
 		copy(own, ch)
 		a.slab[i] = blockdoc.Block{Chars: own, Record: rec, Nonce: ris[i]}
 		blocks[i] = &a.slab[i]
 	}
-	return nil
+	return blocks, nil
 }
 
-// decryptBatch is the batched Dec kernel over records [lo, hi). pt is the
-// worker's 16-byte decryption scratch.
-func (c *Codec) decryptBatch(records [][]byte, r0 uint64, pt []byte, a arena, blocks []*blockdoc.Block, lo, hi int) error {
-	for i := lo; i < hi; i++ {
-		rec := records[i]
+// open is the Dec kernel: it opens every record under the container nonce
+// r0 into one arena, checking each record's count and padding.
+func (c *Codec) open(records [][]byte, r0 uint64) ([]*blockdoc.Block, error) {
+	a := newArena(len(records))
+	blocks := make([]*blockdoc.Block, len(records))
+	var pt [crypt.BlockSize]byte
+	for i, rec := range records {
 		if len(rec) != recordBytes {
-			return fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
+			return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
 		}
 		count := int(rec[0])
 		if count < 1 || count > maxChars {
-			return fmt.Errorf("record %d: %w: block count %d", i, blockdoc.ErrCorrupt, count)
+			return nil, fmt.Errorf("record %d: %w: block count %d", i, blockdoc.ErrCorrupt, count)
 		}
-		if err := c.prp.Decrypt(pt, rec[1:]); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
+		if err := c.prp.Decrypt(pt[:], rec[1:]); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		ri := crypt.Uint64(pt[:8]) ^ r0
 		d := crypt.Uint64(pt[8:]) ^ ri
 		crypt.PutUint64(pt[8:], d)
-		for _, b := range pt[8+count : 16] {
+		for _, b := range pt[8+count:] {
 			if b != 0 {
-				return fmt.Errorf("record %d: %w: nonzero block padding", i, blockdoc.ErrCorrupt)
+				return nil, fmt.Errorf("record %d: %w: nonzero block padding", i, blockdoc.ErrCorrupt)
 			}
 		}
 		chars := a.charSlot(i, count)
@@ -272,16 +211,12 @@ func (c *Codec) decryptBatch(records [][]byte, r0 uint64, pt []byte, a arena, bl
 		a.slab[i] = blockdoc.Block{Chars: chars, Record: recOwn, Nonce: ri}
 		blocks[i] = &a.slab[i]
 	}
-	return nil
+	return blocks, nil
 }
 
 // EncryptAll implements blockdoc.Codec: fresh r0, every chunk encrypted
-// independently. Nonces are drawn serially in document order (so the
-// ciphertext is deterministic for a given source); the per-block AES work —
-// the bulk of Enc — runs in the batched arena kernel, fanned out across
-// worker goroutines for documents above the crossover threshold.
+// independently.
 func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.Block, trailer []byte, err error) {
-	n := len(chunks)
 	r0 := c.nonces.Nonce64()
 	prefix = make([]byte, prefixBytes)
 	var pt [crypt.BlockSize]byte
@@ -289,28 +224,8 @@ func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.B
 	if err := c.prp.Encrypt(prefix, pt[:]); err != nil {
 		return nil, nil, nil, err
 	}
-	blocks = make([]*blockdoc.Block, n)
-	if parallel.UseSerial(n, c.workers) {
-		// Reference kernel: per-block nonce draw and seal, preserving the
-		// original serial shape (and cost model) exactly.
-		for i, ch := range chunks {
-			if blocks[i], err = c.encryptBlockNonce(ch, r0, c.nonces.Nonce64()); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	} else {
-		rp := getRis(n)
-		defer risPool.Put(rp)
-		ris := *rp
-		crypt.FillNonces(c.nonces, ris)
-		a := newArena(n)
-		w := parallel.Plan(n, c.workers, c.threshold)
-		err = parallel.BatchRange(n, w, func(_, lo, hi int) error {
-			return c.encryptBatch(chunks, ris, r0, a, blocks, lo, hi)
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	if blocks, err = c.seal(chunks, r0); err != nil {
+		return nil, nil, nil, err
 	}
 	c.publishR0(r0)
 	return prefix, blocks, nil, nil
@@ -333,27 +248,9 @@ func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*
 		return nil, fmt.Errorf("%w: nonzero r0 padding", blockdoc.ErrCorrupt)
 	}
 	r0 := crypt.Uint64(pt[:8])
-	n := len(records)
-	blocks := make([]*blockdoc.Block, n)
-	if parallel.UseSerial(n, c.workers) {
-		for i, rec := range records {
-			b, err := c.decryptBlock(rec, r0)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			blocks[i] = b
-		}
-	} else {
-		a := newArena(n)
-		w := parallel.Plan(n, c.workers, c.threshold)
-		pts := make([]byte, w*crypt.BlockSize)
-		err := parallel.BatchRange(n, w, func(worker, lo, hi int) error {
-			scratch := pts[worker*crypt.BlockSize : (worker+1)*crypt.BlockSize]
-			return c.decryptBatch(records, r0, scratch, a, blocks, lo, hi)
-		})
-		if err != nil {
-			return nil, err
-		}
+	blocks, err := c.open(records, r0)
+	if err != nil {
+		return nil, err
 	}
 	c.publishR0(r0)
 	return blocks, nil
@@ -365,27 +262,7 @@ func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*
 // edited block).
 func (c *Codec) Splice(left *blockdoc.Block, removed []*blockdoc.Block, chunks [][]byte, right *blockdoc.Block) (
 	added []*blockdoc.Block, newLeftRecord, newPrefix, newTrailer []byte, err error) {
-	n := len(chunks)
-	r0 := c.snapshotR0()
-	added = make([]*blockdoc.Block, n)
-	if parallel.UseSerial(n, c.workers) {
-		for i, ch := range chunks {
-			if added[i], err = c.encryptBlockNonce(ch, r0, c.nonces.Nonce64()); err != nil {
-				return nil, nil, nil, nil, err
-			}
-		}
-		return added, nil, nil, nil, nil
-	}
-	rp := getRis(n)
-	defer risPool.Put(rp)
-	ris := *rp
-	crypt.FillNonces(c.nonces, ris)
-	a := newArena(n)
-	w := parallel.Plan(n, c.workers, c.threshold)
-	err = parallel.BatchRange(n, w, func(_, lo, hi int) error {
-		return c.encryptBatch(chunks, ris, r0, a, added, lo, hi)
-	})
-	if err != nil {
+	if added, err = c.seal(chunks, c.snapshotR0()); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return added, nil, nil, nil, nil

@@ -26,7 +26,6 @@ import (
 
 	"privedit/internal/blockdoc"
 	"privedit/internal/crypt"
-	"privedit/internal/parallel"
 )
 
 // SchemeID is the container header byte identifying RPC.
@@ -39,7 +38,7 @@ const (
 	maxChars    = 8                   // 64-bit data field
 )
 
-// wideRunBlocks is the tile size of the batched kernels: the number of
+// wideRunBlocks is the tile size of the kernels: the number of
 // records handed to one WidePRP Encrypt/DecryptRun call. 128 records is a
 // 4 KiB tile, small enough that the four round-major sweeps stay in L1 and
 // large enough to amortize the per-run dispatch.
@@ -74,14 +73,6 @@ type Codec struct {
 	// mu guards state between whole-document calls.
 	mu    sync.Mutex
 	state ringState
-
-	// workers bounds the goroutines used by the whole-document kernels
-	// (0 = GOMAXPROCS, 1 = the reference serial per-block kernel).
-	// Documents below threshold blocks never fan out. The XOR aggregates
-	// reduce associatively, so every kernel produces the same checksum
-	// block.
-	workers   int
-	threshold int
 }
 
 var _ blockdoc.Codec = (*Codec)(nil)
@@ -93,15 +84,8 @@ func New(key []byte, nonces crypt.NonceSource) (*Codec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcmode: %w", err)
 	}
-	return &Codec{wide: wide, nonces: nonces, threshold: parallel.MinParallelBlocks}, nil
+	return &Codec{wide: wide, nonces: nonces}, nil
 }
-
-// SetWorkers selects the kernel used by EncryptAll/DecryptAll/Splice:
-// 1 pins the reference serial per-block kernel, anything else selects the
-// batched arena kernel (0 = fan out up to GOMAXPROCS above the crossover
-// threshold). The ciphertext is identical either way — nonces are always
-// drawn in document order.
-func (c *Codec) SetWorkers(n int) { c.workers = n }
 
 // Name implements blockdoc.Codec.
 func (c *Codec) Name() string { return "RPC" }
@@ -136,24 +120,18 @@ func (c *Codec) publish(st ringState) {
 	c.mu.Unlock()
 }
 
+// padChars returns the 64-bit zero-padded data field for a block. Full
+// blocks — the overwhelming majority at any b — skip the staging copy.
 func padChars(chars []byte) uint64 {
+	if len(chars) == maxChars {
+		return crypt.Uint64(chars)
+	}
 	var d [8]byte
 	copy(d[:], chars)
 	return crypt.Uint64(d[:])
 }
 
-// padCharsFast is the batched kernels' padChars: full blocks — the
-// overwhelming majority at any b — skip the zero-pad staging copy. The
-// reference kernel keeps the staged padChars so the serial baseline
-// preserves the original per-block kernel's cost model.
-func padCharsFast(chars []byte) uint64 {
-	if len(chars) == maxChars {
-		return crypt.Uint64(chars)
-	}
-	return padChars(chars)
-}
-
-// risPool recycles the batched kernels' bulk nonce scratch. Every nonce is
+// risPool recycles the Enc kernel's bulk nonce scratch. Every nonce is
 // copied into its output block during assembly, so the slice is dead by
 // the time a call returns and can be handed to the next one.
 var risPool = sync.Pool{New: func() any { return new([]uint64) }}
@@ -202,8 +180,8 @@ func unpackMeta(m uint64) (typ byte, count int, rest uint64) {
 	return byte(m >> 56), int(byte(m >> 48)), m & 0x0000FFFFFFFFFFFF
 }
 
-// encryptData builds the record W(r_i, d_i, meta, next) for a data block:
-// the reference per-block kernel.
+// encryptData builds the record W(r_i, d_i, meta, next) for one data
+// block: Splice's rewritten left neighbor.
 func (c *Codec) encryptData(chars []byte, ri, next uint64) ([]byte, error) {
 	if len(chars) == 0 || len(chars) > maxChars {
 		return nil, fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(chars))
@@ -221,8 +199,8 @@ func (c *Codec) encryptTrailer(st ringState) ([]byte, error) {
 	return c.sealRecord(st.xorAllR, st.xorD, st.count, st.xorRTail)
 }
 
-// arena carries the per-call backing arrays of the batched kernels: one
-// allocation per array per call instead of two small makes per block. Each
+// arena carries the per-call backing arrays of the kernels: one allocation
+// per array per call instead of two small makes per block. Each
 // block's record and character slices are strided sub-slices (capped with
 // full slice expressions, so a later append can never bleed into a
 // neighbor's region).
@@ -252,41 +230,40 @@ func (a *arena) charSlot(i, n int) []byte {
 	return a.chars[i*maxChars : i*maxChars+n : i*maxChars+n]
 }
 
-// aggPair is one worker's partial XOR aggregates. The ⊕r_i term feeds
-// both xorAllR and xorRTail (they differ only in r0, folded by the
-// caller); padding keeps workers on distinct cache lines.
-type aggPair struct {
-	xorR uint64 // ⊕ ris[i] over the worker's batch
-	xorD uint64 // ⊕ padded d_i over the worker's batch
-	_    [48]byte
-}
-
-// encryptBatch is the batched Enc kernel: it seals blocks [lo, hi) into
-// the arena. Plaintext fields are assembled tile by tile directly in the
-// record arena, then each 4 KiB tile is permuted in place by one
-// round-major EncryptRun — amortizing the four cipher dispatches across
-// the tile instead of paying them per block. The worker's checksum
-// contributions accumulate into agg as a side effect of the assembly pass,
-// so the caller never re-walks the chunks.
-func (c *Codec) encryptBatch(chunks [][]byte, ris []uint64, r0 uint64, a arena, blocks []*blockdoc.Block, lo, hi int, agg *aggPair) error {
-	for tile := lo; tile < hi; tile += wideRunBlocks {
-		end := tile + wideRunBlocks
-		if end > hi {
-			end = hi
-		}
+// seal is the Enc kernel. It draws one nonce per chunk in document order
+// (so the ciphertext is deterministic for a given source) and seals the
+// chunks into one arena as a chain: block i points at block i+1's nonce
+// and the last block at closer. Plaintext fields are assembled tile by
+// tile directly in the record arena, then each 4 KiB tile is permuted in
+// place by one round-major EncryptRun — amortizing the four cipher
+// dispatches across the tile instead of paying them per block. The
+// blocks' checksum contributions fold into st during assembly. first is
+// the chain's head nonce: the first block's, or closer when there are no
+// chunks.
+func (c *Codec) seal(chunks [][]byte, closer uint64, st *ringState) (blocks []*blockdoc.Block, first uint64, err error) {
+	n := len(chunks)
+	rp := getRis(n)
+	defer risPool.Put(rp)
+	ris := *rp
+	crypt.FillNonces(c.nonces, ris)
+	a := newArena(n)
+	blocks = make([]*blockdoc.Block, n)
+	for tile := 0; tile < n; tile += wideRunBlocks {
+		end := min(tile+wideRunBlocks, n)
 		for i := tile; i < end; i++ {
 			ch := chunks[i]
 			if len(ch) == 0 || len(ch) > maxChars {
-				return fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(ch))
+				return nil, 0, fmt.Errorf("%w: block of %d chars", blockdoc.ErrCorrupt, len(ch))
 			}
 			rec := a.rec(i)
-			next := r0
-			if i+1 < len(chunks) {
+			next := closer
+			if i+1 < n {
 				next = ris[i+1]
 			}
-			d := padCharsFast(ch)
-			agg.xorR ^= ris[i]
-			agg.xorD ^= d
+			d := padChars(ch)
+			st.xorAllR ^= ris[i]
+			st.xorRTail ^= ris[i]
+			st.xorD ^= d
 			crypt.PutUint64(rec[0:8], ris[i])
 			crypt.PutUint64(rec[8:16], d)
 			crypt.PutUint64(rec[16:24], meta(typeData, len(ch)))
@@ -300,96 +277,25 @@ func (c *Codec) encryptBatch(chunks [][]byte, ris []uint64, r0 uint64, a arena, 
 			blocks[i] = &a.slab[i]
 		}
 		if err := c.wide.EncryptRun(a.recs[tile*recordBytes : end*recordBytes]); err != nil {
-			return err
+			return nil, 0, err
 		}
 	}
-	return nil
-}
-
-// openBatch is the batched half of Dec: it copies records [lo, hi) into
-// the retained record arena, and decrypts a second copy tile by tile into
-// pts, where the serial ring-verification pass reads the fields.
-func (c *Codec) openBatch(records [][]byte, pts []byte, a arena, lo, hi int) error {
-	for i := lo; i < hi; i++ {
-		if len(records[i]) != recordBytes {
-			return fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(records[i]))
-		}
-		copy(a.recs[i*recordBytes:(i+1)*recordBytes], records[i])
+	first = closer
+	if n > 0 {
+		first = ris[0]
 	}
-	copy(pts[lo*recordBytes:hi*recordBytes], a.recs[lo*recordBytes:hi*recordBytes])
-	for tile := lo; tile < hi; tile += wideRunBlocks {
-		end := tile + wideRunBlocks
-		if end > hi {
-			end = hi
-		}
-		if err := c.wide.DecryptRun(pts[tile*recordBytes : end*recordBytes]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return blocks, first, nil
 }
 
 // EncryptAll implements blockdoc.Codec: fresh ring, all aggregates rebuilt.
-// Nonces are drawn serially in document order (so the ciphertext is
-// deterministic for a given source); the wide-block sealing — the bulk of
-// Enc — runs in the batched arena kernel, fanned out across worker
-// goroutines for documents above the crossover threshold.
 func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.Block, trailer []byte, err error) {
-	n := len(chunks)
 	var st ringState
 	st.r0 = c.nonces.Nonce64()
 	st.xorAllR = st.r0
-	st.count = uint64(n)
-
-	var ris []uint64
-	blocks = make([]*blockdoc.Block, n)
-	if parallel.UseSerial(n, c.workers) {
-		// Reference kernel: per-draw nonce acquisition and one sealRecord
-		// per block, preserving the original serial shape (and cost model)
-		// exactly. The aggregates fold inside the block loop.
-		ris = make([]uint64, n)
-		for i := range ris {
-			ris[i] = c.nonces.Nonce64()
-		}
-		for i, ch := range chunks {
-			next := st.r0
-			if i+1 < n {
-				next = ris[i+1]
-			}
-			rec, err := c.encryptData(ch, ris[i], next)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			own := make([]byte, len(ch))
-			copy(own, ch)
-			blocks[i] = &blockdoc.Block{Chars: own, Record: rec, Nonce: ris[i]}
-			st.xorAllR ^= ris[i]
-			st.xorRTail ^= ris[i]
-			st.xorD ^= padChars(ch)
-		}
-	} else {
-		rp := getRis(n)
-		defer risPool.Put(rp)
-		ris = *rp
-		crypt.FillNonces(c.nonces, ris)
-		a := newArena(n)
-		w := parallel.Plan(n, c.workers, c.threshold)
-		aggs := make([]aggPair, w)
-		err = parallel.BatchRange(n, w, func(worker, lo, hi int) error {
-			return c.encryptBatch(chunks, ris, st.r0, a, blocks, lo, hi, &aggs[worker])
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for i := range aggs {
-			st.xorAllR ^= aggs[i].xorR
-			st.xorRTail ^= aggs[i].xorR
-			st.xorD ^= aggs[i].xorD
-		}
-	}
-	first := st.r0
-	if len(ris) > 0 {
-		first = ris[0]
+	st.count = uint64(len(chunks))
+	blocks, first, err := c.seal(chunks, st.r0, &st)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if prefix, err = c.encryptStart(st.r0, first); err != nil {
 		return nil, nil, nil, err
@@ -421,33 +327,23 @@ func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*
 	expected := f3
 	n := len(records)
 
-	// Opening the records — the wide-PRP inversion — is the expensive step
-	// and is independent per record: the reference kernel inverts one
-	// record at a time, the batched kernel one tile at a time, fanned out
-	// above the crossover threshold. The ring verification is inherently
-	// sequential (each record's nonce must equal the previous record's
-	// next pointer), so it runs as a serial pass over the opened fields.
+	// Opening the records — the wide-PRP inversion, one tile at a time — is
+	// the expensive step. The records are copied into the retained arena,
+	// and a second copy is decrypted in pts, where the ring verification
+	// reads the fields. That verification is inherently sequential (each
+	// record's nonce must equal the previous record's next pointer).
 	a := newArena(n)
-	pts := make([]byte, n*recordBytes)
-	if parallel.UseSerial(n, c.workers) {
-		for i, rec := range records {
-			g0, g1, g2, g3, err := c.openRecord(rec)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			pt := pts[i*recordBytes : (i+1)*recordBytes]
-			crypt.PutUint64(pt[0:8], g0)
-			crypt.PutUint64(pt[8:16], g1)
-			crypt.PutUint64(pt[16:24], g2)
-			crypt.PutUint64(pt[24:32], g3)
-			copy(a.recs[i*recordBytes:(i+1)*recordBytes], rec)
+	for i, rec := range records {
+		if len(rec) != recordBytes {
+			return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
 		}
-	} else {
-		w := parallel.Plan(n, c.workers, c.threshold)
-		err := parallel.BatchRange(n, w, func(_, lo, hi int) error {
-			return c.openBatch(records, pts, a, lo, hi)
-		})
-		if err != nil {
+		copy(a.rec(i), rec)
+	}
+	pts := make([]byte, n*recordBytes)
+	copy(pts, a.recs)
+	for tile := 0; tile < n; tile += wideRunBlocks {
+		end := min(tile+wideRunBlocks, n)
+		if err := c.wide.DecryptRun(pts[tile*recordBytes : end*recordBytes]); err != nil {
 			return nil, err
 		}
 	}
@@ -521,59 +417,10 @@ func (c *Codec) Splice(left *blockdoc.Block, removed []*blockdoc.Block, chunks [
 		rightNonce = right.Nonce
 	}
 
-	n := len(chunks)
-	var ris []uint64
-	st.count += uint64(n)
-
-	added = make([]*blockdoc.Block, n)
-	if parallel.UseSerial(n, c.workers) {
-		ris = make([]uint64, n)
-		for i := range ris {
-			ris[i] = c.nonces.Nonce64()
-		}
-		for i, ch := range chunks {
-			next := rightNonce
-			if i+1 < n {
-				next = ris[i+1]
-			}
-			rec, err := c.encryptData(ch, ris[i], next)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			own := make([]byte, len(ch))
-			copy(own, ch)
-			added[i] = &blockdoc.Block{Chars: own, Record: rec, Nonce: ris[i]}
-			st.xorAllR ^= ris[i]
-			st.xorRTail ^= ris[i]
-			st.xorD ^= padChars(ch)
-		}
-	} else {
-		rp := getRis(n)
-		defer risPool.Put(rp)
-		ris = *rp
-		crypt.FillNonces(c.nonces, ris)
-		a := newArena(n)
-		w := parallel.Plan(n, c.workers, c.threshold)
-		aggs := make([]aggPair, w)
-		// encryptBatch chains block i to ris[i+1] and closes the run on
-		// r0; here the run must close on the right neighbor instead, so
-		// splice the neighbor's nonce in via the r0 parameter.
-		err = parallel.BatchRange(n, w, func(worker, lo, hi int) error {
-			return c.encryptBatch(chunks, ris, rightNonce, a, added, lo, hi, &aggs[worker])
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		for i := range aggs {
-			st.xorAllR ^= aggs[i].xorR
-			st.xorRTail ^= aggs[i].xorR
-			st.xorD ^= aggs[i].xorD
-		}
-	}
-
-	first := rightNonce
-	if n > 0 {
-		first = ris[0]
+	st.count += uint64(len(chunks))
+	added, first, err := c.seal(chunks, rightNonce, &st)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	if left != nil {
 		if newLeftRecord, err = c.encryptData(left.Chars, left.Nonce, first); err != nil {

@@ -32,23 +32,6 @@ var metricSeekSteps = obs.NewHistogram("privedit_skiplist_seek_steps",
 	"Forward-pointer hops per FindPrimary positional seek.",
 	obs.ExpBuckets(1, 2, 10))
 
-// Finger-cache telemetry: how often a positional seek is answered from the
-// cached bottom-level position instead of the O(log n) tower descent.
-// Sequential/local edits — the dominant editing pattern (§VII) — should
-// drive the hit ratio toward 1.
-var (
-	metricFingerHits = obs.NewCounter("privedit_skiplist_finger_hits_total",
-		"Positional seeks answered from the search-finger cache.")
-	metricFingerMisses = obs.NewCounter("privedit_skiplist_finger_misses_total",
-		"Positional seeks that fell back to the full tower descent.")
-)
-
-// maxFingerWalk bounds how many bottom-level hops a finger probe may take
-// before falling back to the tower descent: generous for the 1–2 block
-// strides of sequential editing, small enough that a random far seek stays
-// O(log n) instead of degrading to a linear scan.
-const maxFingerWalk = 16
-
 // MaxLevel bounds the tower height. 2^32 elements is far beyond the 500 KB
 // document limit the Google Documents service enforced.
 const MaxLevel = 32
@@ -76,16 +59,6 @@ type node[V any] struct {
 	tower []towerLink[V]
 }
 
-// finger caches the outcome of the last positional search: the element at
-// ordinal ord together with the weight prefix sums of everything strictly
-// before it. A nil node means the finger is invalid.
-type finger[V any] struct {
-	node     *node[V]
-	ord      int
-	beforeW1 int
-	beforeW2 int
-}
-
 // List is an indexed skip list. The zero value is not usable; construct
 // with New. A List is not safe for concurrent use; the document model
 // serializes access.
@@ -97,12 +70,6 @@ type List[V any] struct {
 	sumW2  int
 	rng    uint64 // SplitMix64 state for tower heights
 
-	// Search-finger cache (see SetFinger). Mutations at or before the
-	// fingered ordinal invalidate it; mutations strictly after leave the
-	// cached prefix sums intact.
-	fingerOff bool
-	fg        finger[V]
-
 	// sp is the reusable pathTo scratch (see searchPath).
 	sp searchPath[V]
 }
@@ -112,7 +79,7 @@ type List[V any] struct {
 // reproducible; the seed has no security role.
 func New[V any](seed uint64) *List[V] {
 	return &List[V]{
-		head: &node[V]{tower: make([]towerLink[V], MaxLevel)},
+		head:  &node[V]{tower: make([]towerLink[V], MaxLevel)},
 		level: 1,
 		rng:   seed ^ 0x9e3779b97f4a7c15,
 	}
@@ -126,67 +93,6 @@ func (l *List[V]) TotalPrimary() int { return l.sumW1 }
 
 // TotalSecondary returns the sum of secondary weights (total cipher units).
 func (l *List[V]) TotalSecondary() int { return l.sumW2 }
-
-// SetFinger enables or disables the search-finger cache (enabled by
-// default). The cache remembers where the last positional search ended so
-// that sequential and local seeks skip the O(log n) tower descent; results
-// are identical either way. Disabling is for benchmarks that want to
-// measure the uncached walk.
-func (l *List[V]) SetFinger(enabled bool) {
-	l.fingerOff = !enabled
-	l.fg = finger[V]{}
-}
-
-// invalidateFinger drops the cached position if a mutation at ordinal k
-// could have moved it or changed the weight prefix before it. strict
-// distinguishes mutations that leave the fingered element itself intact
-// (SetAt at the fingered ordinal keeps the finger; InsertAt or DeleteAt
-// there does not).
-func (l *List[V]) invalidateFinger(k int, strict bool) {
-	if l.fg.node == nil {
-		return
-	}
-	if k < l.fg.ord || (!strict && k == l.fg.ord) {
-		l.fg = finger[V]{}
-	}
-}
-
-// fingerSeek tries to answer FindPrimary(p) from the cached position by
-// walking forward at the bottom level. It returns ok=false when the finger
-// is invalid, p lies before it, or the walk exceeds maxFingerWalk hops.
-func (l *List[V]) fingerSeek(p int) (Pos[V], bool) {
-	if l.fingerOff || l.fg.node == nil || p < l.fg.beforeW1 {
-		return Pos[V]{}, false
-	}
-	x := l.fg.node
-	ord, b1, b2 := l.fg.ord, l.fg.beforeW1, l.fg.beforeW2
-	rem := p - b1
-	for steps := 0; steps <= maxFingerWalk; steps++ {
-		if x == nil {
-			// Invariant breach (p < sumW1 guarantees a containing
-			// element); let the descent path report it.
-			return Pos[V]{}, false
-		}
-		if rem < x.w1 {
-			l.fg = finger[V]{node: x, ord: ord, beforeW1: b1, beforeW2: b2}
-			return Pos[V]{
-				Ordinal:  ord,
-				Value:    x.value,
-				W1:       x.w1,
-				W2:       x.w2,
-				BeforeW1: b1,
-				BeforeW2: b2,
-				Offset:   rem,
-			}, true
-		}
-		rem -= x.w1
-		b1 += x.w1
-		b2 += x.w2
-		ord++
-		x = x.tower[0].to
-	}
-	return Pos[V]{}, false
-}
 
 func (l *List[V]) randomLevel() int {
 	// SplitMix64 step; one draw gives 64 coin flips, plenty for p = 1/2.
@@ -226,13 +132,6 @@ func (l *List[V]) FindPrimary(p int) (Pos[V], error) {
 	if p < 0 || p >= l.sumW1 {
 		return Pos[V]{}, fmt.Errorf("%w: primary index %d, total %d", ErrIndexRange, p, l.sumW1)
 	}
-	if pos, ok := l.fingerSeek(p); ok {
-		metricFingerHits.Inc()
-		return pos, nil
-	}
-	if !l.fingerOff {
-		metricFingerMisses.Inc()
-	}
 	x := l.head
 	rem := p
 	ordinal, beforeW1, beforeW2 := 0, 0, 0
@@ -257,9 +156,6 @@ func (l *List[V]) FindPrimary(p int) (Pos[V], error) {
 		// Unreachable while invariants hold (p < sumW1 guarantees a
 		// containing element); guard against corruption anyway.
 		return Pos[V]{}, fmt.Errorf("%w: primary index %d fell off the list", ErrIndexRange, p)
-	}
-	if !l.fingerOff {
-		l.fg = finger[V]{node: target, ord: ordinal, beforeW1: beforeW1, beforeW2: beforeW2}
 	}
 	return Pos[V]{
 		Ordinal:  ordinal,
@@ -295,9 +191,6 @@ func (l *List[V]) FindOrdinal(k int) (Pos[V], error) {
 	target := x.tower[0].to
 	if target == nil {
 		return Pos[V]{}, fmt.Errorf("%w: ordinal %d fell off the list", ErrIndexRange, k)
-	}
-	if !l.fingerOff {
-		l.fg = finger[V]{node: target, ord: k, beforeW1: beforeW1, beforeW2: beforeW2}
 	}
 	return Pos[V]{
 		Ordinal:  k,
@@ -406,7 +299,6 @@ func (l *List[V]) InsertAt(k int, value V, w1, w2 int) error {
 	l.length++
 	l.sumW1 += w1
 	l.sumW2 += w2
-	l.invalidateFinger(k, false)
 	return nil
 }
 
@@ -438,7 +330,6 @@ func (l *List[V]) DeleteAt(k int) (value V, w1, w2 int, err error) {
 	l.length--
 	l.sumW1 -= target.w1
 	l.sumW2 -= target.w2
-	l.invalidateFinger(k, false)
 	return target.value, target.w1, target.w2, nil
 }
 
@@ -468,7 +359,6 @@ func (l *List[V]) SetAt(k int, value V, w1, w2 int) error {
 	target.w2 = w2
 	l.sumW1 += d1
 	l.sumW2 += d2
-	l.invalidateFinger(k, true)
 	return nil
 }
 

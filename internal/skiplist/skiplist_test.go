@@ -311,16 +311,37 @@ func TestZeroWeightElements(t *testing.T) {
 	}
 }
 
+// checkPrimary requires FindPrimary(p) to agree with the reference model.
+func checkPrimary(t *testing.T, l *List[string], ref *refModel, p int) {
+	t.Helper()
+	pos, err := l.FindPrimary(p)
+	if err != nil {
+		t.Fatalf("FindPrimary(%d): %v", p, err)
+	}
+	wantOrd, wantOff, wantB1, wantB2 := ref.findPrimary(p)
+	if pos.Ordinal != wantOrd || pos.Offset != wantOff || pos.BeforeW1 != wantB1 || pos.BeforeW2 != wantB2 ||
+		pos.Value != ref.values[wantOrd] || pos.W1 != ref.w1s[wantOrd] || pos.W2 != ref.w2s[wantOrd] {
+		t.Fatalf("FindPrimary(%d) = (ord %d, off %d, b1 %d, b2 %d), ref (%d,%d,%d,%d)",
+			p, pos.Ordinal, pos.Offset, pos.BeforeW1, pos.BeforeW2, wantOrd, wantOff, wantB1, wantB2)
+	}
+}
+
+// TestRandomOpsAgainstReference interleaves inserts, deletes and weight
+// updates (zero primary weights included) with positional and ordinal
+// seeks, checking every seek against the slice model as it happens. Most
+// positional seeks land just after the previous one, the pattern of
+// sequential typing.
 func TestRandomOpsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	l := New[string](31)
 	ref := &refModel{}
-	const ops = 3000
+	const ops = 6000
+	last := 0
 	for op := 0; op < ops; op++ {
-		switch action := rng.Intn(10); {
+		switch action := rng.Intn(14); {
 		case action < 5 || l.Len() == 0: // insert
 			k := rng.Intn(l.Len() + 1)
-			w1 := 1 + rng.Intn(8)
+			w1 := rng.Intn(9)
 			w2 := 1 + rng.Intn(40)
 			v := string(rune('a' + rng.Intn(26)))
 			if err := l.InsertAt(k, v, w1, w2); err != nil {
@@ -338,15 +359,34 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 					op, k, v, w1, w2, ref.values[k], ref.w1s[k], ref.w2s[k])
 			}
 			ref.deleteAt(k)
-		default: // set
+		case action < 10: // set
 			k := rng.Intn(l.Len())
-			w1 := 1 + rng.Intn(8)
+			w1 := rng.Intn(9)
 			w2 := 1 + rng.Intn(40)
 			v := string(rune('A' + rng.Intn(26)))
 			if err := l.SetAt(k, v, w1, w2); err != nil {
 				t.Fatalf("op %d SetAt(%d): %v", op, k, err)
 			}
 			ref.setAt(k, v, w1, w2)
+		case action < 12: // primary seek, usually local to the last one
+			if total := ref.totalW1(); total > 0 {
+				p := rng.Intn(total)
+				if rng.Intn(2) == 0 {
+					p = min(last+rng.Intn(32), total-1)
+				}
+				checkPrimary(t, l, ref, p)
+				last = p
+			}
+		default: // ordinal seek
+			k := rng.Intn(l.Len())
+			pos, err := l.FindOrdinal(k)
+			if err != nil {
+				t.Fatalf("op %d FindOrdinal(%d): %v", op, k, err)
+			}
+			if pos.Value != ref.values[k] || pos.W1 != ref.w1s[k] || pos.W2 != ref.w2s[k] {
+				t.Fatalf("op %d FindOrdinal(%d) = (%q,%d,%d), ref (%q,%d,%d)",
+					op, k, pos.Value, pos.W1, pos.W2, ref.values[k], ref.w1s[k], ref.w2s[k])
+			}
 		}
 		if op%200 == 0 {
 			if err := l.Validate(); err != nil {
@@ -375,17 +415,12 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 	if l.TotalPrimary() != total {
 		t.Fatalf("TotalPrimary %d, ref %d", l.TotalPrimary(), total)
 	}
-	for trial := 0; trial < 500; trial++ {
-		p := rng.Intn(total)
-		pos, err := l.FindPrimary(p)
-		if err != nil {
-			t.Fatalf("FindPrimary(%d): %v", p, err)
-		}
-		wantOrd, wantOff, wantB1, wantB2 := ref.findPrimary(p)
-		if pos.Ordinal != wantOrd || pos.Offset != wantOff || pos.BeforeW1 != wantB1 || pos.BeforeW2 != wantB2 {
-			t.Fatalf("FindPrimary(%d) = (ord %d, off %d, b1 %d, b2 %d), ref (%d,%d,%d,%d)",
-				p, pos.Ordinal, pos.Offset, pos.BeforeW1, pos.BeforeW2, wantOrd, wantOff, wantB1, wantB2)
-		}
+	// Every primary position, left to right and back.
+	for p := 0; p < total; p++ {
+		checkPrimary(t, l, ref, p)
+	}
+	for p := total - 1; p >= 0; p-- {
+		checkPrimary(t, l, ref, p)
 	}
 }
 

@@ -9,10 +9,9 @@
 #
 # Gated series:
 #   BENCH_load.json     load.ops_per_sec (down is bad), load.p95_ms (up is bad),
-#                       and the enc_kernel_serial_vs_parallel rows: per-size
-#                       batched-kernel parallel_ms (up is bad) and speedup
-#                       (down is bad), so a kernel regression fails the lane
-#                       even when the mediated load numbers hold steady
+#                       and the enc_kernel rows: per-size ms (up is bad), so
+#                       a kernel regression fails the lane even when the
+#                       mediated load numbers hold steady
 #   BENCH_hotpath.json  per-variant ns_per_op, p95_us, and allocs_per_op
 #                       (up is bad — allocation regressions on the hot path
 #                       are exactly how the overhead-bound kernels decayed)
@@ -63,16 +62,17 @@ if b and c:
     check("BENCH_load", "p95_ms", b["load"]["p95_ms"], c["load"]["p95_ms"], False)
     # Enc kernel rows, matched by document size. .get() keeps the gate
     # tolerant of baselines that predate the kernel rows or sampled
-    # different sizes.
-    base_rows = {r["chars"]: r for r in b.get("enc_kernel_serial_vs_parallel") or []}
-    for row in c.get("enc_kernel_serial_vs_parallel") or []:
+    # different sizes. A baseline from before the single kernel carries
+    # enc_kernel_serial_vs_parallel rows, whose parallel_ms timed the same
+    # batched kernel.
+    base_rows = {r["chars"]: r for r in
+                 b.get("enc_kernel") or b.get("enc_kernel_serial_vs_parallel") or []}
+    for row in c.get("enc_kernel") or []:
         bb = base_rows.get(row["chars"])
         if not bb:
             continue
-        check(f"BENCH_load[enc_kernel {row['chars']}ch]", "parallel_ms",
-              bb["parallel_ms"], row["parallel_ms"], False)
-        check(f"BENCH_load[enc_kernel {row['chars']}ch]", "speedup",
-              bb["speedup"], row["speedup"], True)
+        check(f"BENCH_load[enc_kernel {row['chars']}ch]", "ms",
+              bb.get("ms", bb.get("parallel_ms")), row["ms"], False)
 
 # BENCH_hotpath.json: per-variant hot-path cost.
 b, c = load(base_dir, "BENCH_hotpath.json"), load(cur_dir, "BENCH_hotpath.json")
