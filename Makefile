@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover cover-gate bench experiments fuzz examples metrics-smoke load-smoke ot-smoke chaos-smoke editbench-smoke trace-smoke profile-smoke taint-smoke store-smoke store-bench store-soak hotpath clean
+.PHONY: all build vet lint test race cover cover-gate bench experiments fuzz examples metrics-smoke ot-smoke chaos-smoke editbench-smoke profile-smoke taint-smoke store-smoke store-soak clean
 
 all: build vet lint test
 
@@ -84,26 +84,36 @@ metrics-smoke:
 	done; \
 	echo "metrics-smoke: all expected families exported"
 
-# Short concurrent-load run: many sessions through one extension, with the
-# whole-document encrypt kernel timings. Writes /tmp/BENCH_load.json.
-load-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration 2s -json /tmp/BENCH_load.json
-
-# OT-pipeline gate: the committed-baseline load shape (16 sessions over 8
-# docs) through the pipelined save path. The run itself fails if any
-# rejected save fell back to a full conflict resync (every conflict must
-# transform-merge) or if throughput drops below the committed floor —
-# 640 ops/sec is ~5x the 119.5 the synchronous path recorded in
-# BENCH_load.json before the pipeline existed. Writes /tmp/BENCH_ot.json.
+# OT-merge gate: a traced editbench coedit run (two users, each with their
+# own mediator, editing the same documents). The workload's own check
+# requires at least one 409 and a correct result; this target also
+# requires that every conflict was repaired by transform-merge
+# (mediator.ot_merge_frac = 1: no full resync). The one-extension
+# property (shared sessions never resync or drop a save) is pinned by
+# internal/e2e's TestConcurrentSessionsSharedDoc. Writes /tmp/BENCH_ot.json
+# (the run's result line) and /tmp/privedit-ot.txt (the whole run).
 ot-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 16 -docs 8 -duration 5s \
-		-inflight 4 -min-ops-sec 640 -max-conflict-resyncs 0 -json /tmp/BENCH_ot.json
+	bash editbench/run.sh --workload coedit --seed 7 --seconds 6 --trace 1 > /tmp/privedit-ot.txt \
+		|| { cat /tmp/privedit-ot.txt; echo "ot-smoke: coedit run failed"; exit 1; }
+	@tail -n 1 /tmp/privedit-ot.txt > /tmp/BENCH_ot.json
+	@grep -q '"correct":true' /tmp/BENCH_ot.json || { echo "ot-smoke: coedit result not correct"; exit 1; }
+	@grep -q '"mediator.ot_merge_frac":{"value":1,' /tmp/BENCH_ot.json \
+		|| { grep '^# metric mediator.ot_merge_frac' /tmp/privedit-ot.txt; echo "ot-smoke: a conflict fell back to a full resync"; exit 1; }
+	@echo "ot-smoke: coedit correct, every conflict transform-merged"
 
-# Short chaos run: concurrent resilient sessions through a seeded fault
-# storm, with per-document convergence verification (the run fails if any
-# document diverges). Writes /tmp/BENCH_chaos.json.
+# Short traced chaos run: concurrent resilient sessions through a seeded
+# fault storm, with per-document convergence verification (the run fails
+# if any document diverges, and if tracing attributed nothing). Spans are
+# exported as JSONL, and the artifact is checked for a per-phase latency
+# breakdown. Writes /tmp/BENCH_chaos.json and /tmp/privedit-traces.jsonl.
 chaos-smoke:
-	$(GO) run ./cmd/privedit-load -chaos -sessions 4 -ops 40 -seed 2011 -json /tmp/BENCH_chaos.json
+	@rm -f /tmp/privedit-traces.jsonl
+	$(GO) run ./cmd/privedit-load -chaos -sessions 4 -ops 40 -seed 2011 \
+		-trace-out /tmp/privedit-traces.jsonl -json /tmp/BENCH_chaos.json
+	@test -s /tmp/privedit-traces.jsonl || { echo "chaos-smoke: empty span export"; exit 1; }
+	@grep -q '"phases"' /tmp/BENCH_chaos.json || { echo "chaos-smoke: no phase breakdown in artifact"; exit 1; }
+	@grep -q '"phase": "save"' /tmp/BENCH_chaos.json || { echo "chaos-smoke: save phase missing from breakdown"; exit 1; }
+	@echo "chaos-smoke: converged, phase breakdown and span export present"
 
 # The editor benchmark's smoke test. editbench/ is a nested module (it
 # replaces privedit with ../), so `go test ./...` at the root never builds
@@ -113,32 +123,20 @@ chaos-smoke:
 editbench-smoke:
 	$(GO) -C editbench test ./...
 
-# Traced load run: tracing on (the default), spans exported as JSONL, and
-# the artifact checked for a real per-phase latency breakdown (the harness
-# itself already exits non-zero when a traced run attributes nothing).
-# Writes /tmp/BENCH_load_traced.json and /tmp/privedit-traces.jsonl.
-trace-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 4 -docs 2 -duration 2s \
-		-enc-bench=false -trace-out /tmp/privedit-traces.jsonl -json /tmp/BENCH_load_traced.json
-	@grep -q '"phases"' /tmp/BENCH_load_traced.json || { echo "trace-smoke: no phase breakdown in artifact"; exit 1; }
-	@grep -q '"phase": "save"' /tmp/BENCH_load_traced.json || { echo "trace-smoke: save phase missing from breakdown"; exit 1; }
-	@test -s /tmp/privedit-traces.jsonl || { echo "trace-smoke: empty span export"; exit 1; }
-	@echo "trace-smoke: phase breakdown and span export present"
-
-# Profiled load run: exercises -cpuprofile/-memprofile end to end and
-# fails unless both profiles come back non-empty and parseable by
-# `go tool pprof` with actual CPU samples recorded.
-PROFILE_DURATION ?= 30s
+# Profiled paper-figure run: exercises -cpuprofile/-memprofile end to end
+# on Figure 5 at paper scale and fails unless both profiles parse with
+# `go tool pprof` and the CPU profile recorded a nonzero sample total.
 profile-smoke:
-	$(GO) run ./cmd/privedit-load -sessions 8 -docs 4 -duration $(PROFILE_DURATION) \
-		-enc-bench=false -cpuprofile /tmp/privedit-cpu.pprof -memprofile /tmp/privedit-mem.pprof
+	$(GO) run ./cmd/privedit-bench -exp fig5 -cpuprofile /tmp/privedit-cpu.pprof -memprofile /tmp/privedit-mem.pprof
 	@test -s /tmp/privedit-cpu.pprof || { echo "profile-smoke: empty CPU profile"; exit 1; }
 	@test -s /tmp/privedit-mem.pprof || { echo "profile-smoke: empty heap profile"; exit 1; }
-	@$(GO) tool pprof -top -nodecount=5 /tmp/privedit-cpu.pprof | grep -q "Total samples" \
-		|| { echo "profile-smoke: CPU profile has no samples"; exit 1; }
+	@$(GO) tool pprof -top -nodecount=5 /tmp/privedit-cpu.pprof > /tmp/privedit-cpu.top \
+		|| { echo "profile-smoke: CPU profile unparseable"; exit 1; }
+	@grep -Eq 'Total samples = [0-9.]*[1-9]' /tmp/privedit-cpu.top \
+		|| { grep 'Total samples' /tmp/privedit-cpu.top; echo "profile-smoke: CPU profile has no samples"; exit 1; }
 	@$(GO) tool pprof -top -nodecount=5 /tmp/privedit-mem.pprof > /dev/null \
 		|| { echo "profile-smoke: heap profile unparseable"; exit 1; }
-	@echo "profile-smoke: CPU and heap profiles non-empty and parseable"
+	@echo "profile-smoke: CPU and heap profiles parse, CPU samples recorded"
 
 # Crash-recovery smoke: start a disk-backed server, write-storm it over
 # HTTP while journaling every ack, kill -9 mid-storm, restart, and verify
@@ -147,26 +145,11 @@ profile-smoke:
 store-smoke:
 	./scripts/crash_recovery.sh
 
-# Persistence bench: cold population in bulk-load mode, sustained mixed
-# ops with the cache far smaller than the population, and cold-recovery
-# timing. Writes /tmp/BENCH_store.json (the committed BENCH_store.json is
-# one such run at default scale; the 1M-doc ISSUE scale is
-# -store-docs 1000000 -cache-bytes 15000000 on a real machine).
-store-bench:
-	$(GO) run ./cmd/privedit-load -store -workers 4 -json /tmp/BENCH_store.json
-
 # Nightly eviction-churn soak: a tiny cache under sustained fault-in and
 # eviction pressure, gated on goroutine and live-heap growth.
 SOAK_DURATION ?= 30s
 store-soak:
 	$(GO) run ./cmd/privedit-load -store-soak -duration $(SOAK_DURATION) -workers 4
-
-# Hot-path benchmark: delta coalescing vs baseline on the burst-edit
-# workload, with a plaintext equivalence check between the variants.
-# Writes /tmp/BENCH_hotpath.json (the committed BENCH_hotpath.json is one
-# such run at default scale).
-hotpath:
-	$(GO) run ./cmd/privedit-bench -exp hotpath -json /tmp
 
 examples:
 	$(GO) run ./examples/quickstart

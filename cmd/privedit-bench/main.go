@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|func|ablation|scaling|hotpath|all")
+	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|func|ablation|scaling|all")
 	trials := flag.Int("trials", 0, "override trial count (0 = paper-scale defaults)")
 	seed := flag.Int64("seed", 2011, "random seed")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<exp>.json result files into")
@@ -80,9 +80,8 @@ func run(exp string, cfg bench.Config, jsonDir string) error {
 		"func":     runFunc,
 		"ablation": runAblation,
 		"scaling":  runScaling,
-		"hotpath":  runHotpath,
 	}
-	order := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "func", "ablation", "scaling", "hotpath"}
+	order := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "func", "ablation", "scaling"}
 	if exp != "all" {
 		if _, ok := runners[exp]; !ok {
 			return fmt.Errorf("unknown experiment %q", exp)
@@ -213,19 +212,6 @@ func runFunc(cfg bench.Config) (any, error) {
 
 func runScaling(cfg bench.Config) (any, error) {
 	res, err := bench.Scaling(cfg, core.ConfidentialityOnly)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Print(res)
-	return res, nil
-}
-
-func runHotpath(cfg bench.Config) (any, error) {
-	hc := bench.HotpathConfig{Seed: cfg.Seed}
-	if cfg.Trials > 0 {
-		hc.Ops = cfg.Trials * 100
-	}
-	res, err := bench.Hotpath(hc)
 	if err != nil {
 		return nil, err
 	}

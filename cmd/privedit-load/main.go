@@ -1,44 +1,29 @@
-// Command privedit-load drives many concurrent encrypted editing sessions
-// through one mediating extension against the simulated service, and
-// reports sustained throughput and latency quantiles. It is the
-// concurrency companion to privedit-bench: where that tool reproduces the
-// paper's single-session figures, this one measures how the sharded store,
-// the per-document mediator sessions, and the crypto kernels behave under
-// contention.
+// Command privedit-load runs the harnesses that need a whole stack and
+// check correctness rather than speed: the chaos fault storm, and the
+// persistence layer's soak and crash-recovery storm. Throughput and
+// latency are measured by editbench (bash editbench/run.sh). Run without
+// a mode flag, it prints its usage and exits 2.
 //
-// Usage:
-//
-//	privedit-load                          # 8 sessions, 8 docs, 5 s
-//	privedit-load -sessions 32 -docs 8     # 4 sessions per document
-//	privedit-load -duration 2s -json BENCH_load.json
-//	privedit-load -net-scale 1000          # with scaled netsim delays
-//
-// The -json artifact also embeds the whole-document encrypt kernel's time
-// across document sizes.
-//
-// Tracing is on by default: every operation runs under a root span, and
-// the artifact gains a per-phase latency breakdown (load/decrypt/diff/
-// transform/encrypt/save/retry/resync, p50+p95, split conflict vs clean)
-// plus runtime watchdog stats. -trace-out streams every collected trace
-// as JSON lines; -trace=false turns all of it off.
-//
-// Chaos mode (-chaos) switches to the fault-injection harness: sessions
-// run a fixed number of ops each (deterministic, see internal/bench
-// chaos.go), each waiting for its durable ack, over a seeded
-// netsim.FaultTransport while the mediator's retries and writer backoff
-// absorb the damage, then convergence is verified per document and the
-// run is written as BENCH_chaos.json. The run fails if a document
-// diverged, a save was dropped, or the storm made fewer requests than
-// ops:
+// Chaos mode (-chaos) runs the fault-injection harness: sessions run a
+// fixed number of ops each (deterministic, see internal/bench chaos.go),
+// each waiting for its durable ack, over a seeded netsim.FaultTransport
+// while the mediator's retries and writer backoff absorb the damage, then
+// convergence is verified per document and the run is written as
+// BENCH_chaos.json. The run fails if a document diverged, a save was
+// dropped, or the storm made fewer requests than ops:
 //
 //	privedit-load -chaos -json BENCH_chaos.json
 //	privedit-load -chaos -ops 60 -fault-drop 0.1 -fault-5xx 0.08 \
 //	    -fault-429 0.04 -fault-timeout 0.04 -fault-corrupt 0.05
 //
+// Tracing is on by default: every chaos operation runs under a root span,
+// and the artifact gains a per-phase latency breakdown (load/decrypt/diff/
+// transform/encrypt/save/retry/resync, p50+p95, split conflict vs clean).
+// -trace-out streams every collected trace as JSON lines; -trace=false
+// turns all of it off.
+//
 // Store modes exercise the persistence layer (internal/store):
 //
-//	privedit-load -store -json BENCH_store.json           # populate/sustain/recover bench
-//	privedit-load -store -store-docs 1000000 -cache-bytes 15000000
 //	privedit-load -store-soak -duration 60s               # eviction churn + leak gates
 //	privedit-load -store-storm -target URL -ack-log f     # crash_recovery.sh write storm
 //	privedit-load -verify -target URL -ack-log f          # post-recovery ack audit
@@ -57,40 +42,26 @@ import (
 )
 
 func main() {
-	sessions := flag.Int("sessions", 8, "concurrent editing sessions")
-	docs := flag.Int("docs", 0, "distinct documents (0 = one per session)")
-	duration := flag.Duration("duration", 5*time.Second, "measured run length")
+	sessions := flag.Int("sessions", 8, "chaos: concurrent editing sessions; storm: concurrent writers")
+	duration := flag.Duration("duration", 5*time.Second, "store soak: churn length")
 	docChars := flag.Int("doc-chars", 20_000, "initial document size, characters")
 	blockChars := flag.Int("block-chars", core.DefaultBlockChars, "block size b (1..8)")
 	schemeName := flag.String("scheme", "rpc", "encryption scheme: recb|rpc")
-	workers := flag.Int("workers", 0, "store bench/soak: concurrent store clients (0 = 4)")
-	reloadEvery := flag.Int("reload-every", 16, "every n-th op is a full document reload/decrypt (0 = deltas only)")
-	netScale := flag.Int("net-scale", 0, "enable netsim Broadband2009 delays divided by this factor (0 = off)")
-	inflight := flag.Int("inflight", 0, "per-document save queue depth (0 = mediator.DefaultInflight)")
-	minOpsSec := flag.Float64("min-ops-sec", 0, "fail the run if throughput falls below this floor (0 = no check)")
-	maxResyncs := flag.Int("max-conflict-resyncs", -1, "fail the run if conflict-driven full resyncs exceed this (-1 = no check)")
+	workers := flag.Int("workers", 0, "store soak: concurrent store clients (0 = 4)")
+	reloadEvery := flag.Int("reload-every", 16, "chaos: every n-th op is a full document reload/decrypt (0 = deltas only)")
 	seed := flag.Int64("seed", 2011, "workload seed")
-	jsonPath := flag.String("json", "", "write BENCH_load.json artifact to this path")
-	encBench := flag.Bool("enc-bench", true, "include the whole-document encrypt kernel timings in -json output")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	tracing := flag.Bool("trace", true, "trace every operation and attribute latency per phase")
-	traceOut := flag.String("trace-out", "", "append every collected trace to this JSONL file")
-	watchEvery := flag.Duration("watch", 250*time.Millisecond, "runtime watchdog sample interval (0 = off; load harness only)")
+	jsonPath := flag.String("json", "", "chaos: write the BENCH_chaos.json artifact to this path")
+	tracing := flag.Bool("trace", true, "chaos: trace every operation and attribute latency per phase")
+	traceOut := flag.String("trace-out", "", "chaos: append every collected trace to this JSONL file")
 
-	storeBench := flag.Bool("store", false, "run the persistence-layer bench (populate, sustain, recover)")
-	storeDocs := flag.Int("store-docs", 0, "store bench: cold population size (0 = default)")
-	storeCacheBytes := flag.Int64("cache-bytes", 0, "store bench/soak: resident cache budget, bytes (0 = default)")
-	storeOps := flag.Int("store-ops", 0, "store bench: sustained mixed operations (0 = default)")
-	storeHot := flag.Int("store-hot", 0, "store bench: hot working-set size (0 = default)")
-	storeDir := flag.String("store-dir", "", "store bench: data directory (empty = temp dir)")
+	storeCacheBytes := flag.Int64("cache-bytes", 0, "store soak: resident cache budget, bytes (0 = default)")
 	storeSoak := flag.Bool("store-soak", false, "run the eviction-churn soak with goroutine/heap leak gates")
 	storeStorm := flag.Bool("store-storm", false, "run the crash-recovery write storm against -target, journaling acks to -ack-log")
 	verify := flag.Bool("verify", false, "verify a recovered -target server against the -ack-log journal")
 	target := flag.String("target", "http://127.0.0.1:8747", "storm/verify: server base URL")
 	ackLog := flag.String("ack-log", "acks.log", "storm/verify: acknowledged-save journal path")
 
-	chaos := flag.Bool("chaos", false, "run the fault-injection chaos harness instead of the load harness")
+	chaos := flag.Bool("chaos", false, "run the fault-injection chaos harness")
 	ops := flag.Int("ops", 40, "chaos: edit operations per session")
 	faultSeed := flag.Int64("fault-seed", 0, "chaos: fault decision seed (0 = -seed)")
 	faultDrop := flag.Float64("fault-drop", 0.06, "chaos: request drop probability")
@@ -103,18 +74,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *storeBench:
-		runStoreBench(bench.StoreConfig{
-			Docs:       *storeDocs,
-			DocChars:   *docChars,
-			CacheBytes: *storeCacheBytes,
-			SustainOps: *storeOps,
-			HotDocs:    *storeHot,
-			Workers:    *workers,
-			Dir:        *storeDir,
-			Seed:       *seed,
-		}, *jsonPath)
-		return
 	case *storeSoak:
 		runStoreSoak(bench.SoakConfig{
 			Duration:   *duration,
@@ -144,6 +103,10 @@ func main() {
 		}
 		fmt.Printf("privedit-load: verified %d documents against %s: every acknowledged save survived\n", checked, *ackLog)
 		return
+	case !*chaos:
+		fmt.Fprintln(os.Stderr, "privedit-load: choose a mode: -chaos, -store-soak, -store-storm or -verify")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	scheme := core.ConfidentialityIntegrity
@@ -155,19 +118,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "privedit-load: unknown scheme %q (want recb or rpc)\n", *schemeName)
 		os.Exit(2)
 	}
-
-	stopProfiles, err := bench.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privedit-load:", err)
-		os.Exit(1)
-	}
-	// Error paths below exit the process directly and forfeit the profiles;
-	// a completed run flushes them here.
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "privedit-load:", err)
-		}
-	}()
 
 	var traceSink func(trace.Trace)
 	if *traceOut != "" {
@@ -185,145 +135,31 @@ func main() {
 		traceSink = jw.Write
 	}
 
-	if *chaos {
-		if *faultSeed == 0 {
-			*faultSeed = *seed
-		}
-		profile := netsim.FaultProfile{
-			Seed:             *faultSeed,
-			DropRate:         *faultDrop,
-			DropResponseRate: *faultDropResp,
-			Error5xxRate:     *fault5xx,
-			ThrottleRate:     *fault429,
-			TimeoutRate:      *faultTimeout,
-			CorruptRate:      *faultCorrupt,
-			JitterRate:       *faultJitter,
-		}
-		runChaos(bench.ChaosConfig{
-			Sessions:      *sessions,
-			OpsPerSession: *ops,
-			DocChars:      *docChars,
-			Scheme:        scheme,
-			BlockChars:    *blockChars,
-			ReloadEvery:   *reloadEvery,
-			Seed:          *seed,
-			Fault:         profile,
-			Trace:         *tracing,
-			TraceSink:     traceSink,
-		}, *jsonPath)
-		return
+	if *faultSeed == 0 {
+		*faultSeed = *seed
 	}
-
-	cfg := bench.LoadConfig{
-		Sessions:    *sessions,
-		Docs:        *docs,
-		Duration:    *duration,
-		DocChars:    *docChars,
-		Scheme:      scheme,
-		BlockChars:  *blockChars,
-		ReloadEvery: *reloadEvery,
-		NetScale:    *netScale,
-		Inflight:    *inflight,
-		Seed:        *seed,
-		Trace:       *tracing,
-		TraceSink:   traceSink,
+	profile := netsim.FaultProfile{
+		Seed:             *faultSeed,
+		DropRate:         *faultDrop,
+		DropResponseRate: *faultDropResp,
+		Error5xxRate:     *fault5xx,
+		ThrottleRate:     *fault429,
+		TimeoutRate:      *faultTimeout,
+		CorruptRate:      *faultCorrupt,
+		JitterRate:       *faultJitter,
 	}
-	if *tracing {
-		cfg.WatchInterval = *watchEvery
-	}
-
-	effDocs := *docs
-	if effDocs <= 0 {
-		effDocs = *sessions
-	}
-	fmt.Printf("privedit-load: %d sessions on %d docs, %v, %d-char docs, scheme=%s b=%d\n",
-		*sessions, effDocs, *duration, *docChars, scheme, *blockChars)
-
-	// The kernel microbench runs before the load phase so it measures the
-	// kernel in a fresh heap: the load phase leaves behind a large live
-	// set that inflates the GC goal and skews the timings run to run.
-	var encRows []bench.EncRow
-	if *jsonPath != "" && *encBench {
-		rows, err := bench.EncKernelBench(scheme, *blockChars,
-			[]int{1_000, 10_000, 100_000, 400_000}, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "privedit-load: enc bench:", err)
-			os.Exit(1)
-		}
-		encRows = rows
-	}
-
-	report, err := bench.RunLoad(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privedit-load:", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("  ops        %d (%.1f reloads, %.1f delta saves/s)\n",
-		report.Ops,
-		float64(report.Reloads)/report.DurationS,
-		float64(report.DeltaSaves)/report.DurationS)
-	fmt.Printf("  throughput %.1f ops/s over %.2fs\n", report.OpsPerSec, report.DurationS)
-	fmt.Printf("  latency    p50=%.2fms p95=%.2fms p99=%.2fms\n", report.P50Ms, report.P95Ms, report.P99Ms)
-	fmt.Printf("  conflicts  %d version conflicts, %d errored ops\n", report.Conflicts, report.Errors)
-	fmt.Printf("  mediator   %d sessions, %d full encrypts, %d deltas, %d loads\n",
-		report.MediatorSessions, report.MediatorFullEncrypts, report.MediatorDeltas, report.MediatorLoads)
-	fmt.Printf("  pipeline   depth=%d, %d queued saves (%d coalesced), %d OT merges, %d conflict resyncs, %d dropped\n",
-		report.Inflight, report.QueuedSaves, report.QueueCoalesced,
-		report.OTMerges, report.ConflictResyncs, report.DroppedSaves)
-	if report.Watch != nil {
-		fmt.Printf("  watchdog   %d samples, max %d goroutines, max heap %.1f MiB\n",
-			report.Watch.Samples, report.Watch.MaxGoroutines,
-			float64(report.Watch.MaxHeapBytes)/(1<<20))
-	}
-	printPhases(report.Phases)
-	if *tracing && (report.Phases == nil || report.Phases.Empty()) {
-		// trace-smoke relies on this: a traced run that attributed nothing
-		// means the span plumbing regressed somewhere.
-		fmt.Fprintln(os.Stderr, "privedit-load: tracing was on but the phase breakdown is empty")
-		os.Exit(1)
-	}
-
-	// ot-smoke gates: the pipelined save path commits to a throughput floor
-	// and to resolving conflicts by transform, not full resync.
-	failed := false
-	if *minOpsSec > 0 && report.OpsPerSec < *minOpsSec {
-		fmt.Fprintf(os.Stderr, "privedit-load: throughput %.1f ops/s is below the %.1f ops/s floor\n",
-			report.OpsPerSec, *minOpsSec)
-		failed = true
-	}
-	if *maxResyncs >= 0 && report.ConflictResyncs > *maxResyncs {
-		fmt.Fprintf(os.Stderr, "privedit-load: %d conflict resyncs exceed the allowed %d\n",
-			report.ConflictResyncs, *maxResyncs)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
-
-	if *jsonPath == "" {
-		return
-	}
-	artifact := bench.LoadArtifact{
-		Title: "Concurrent load: sharded store + crypto kernels",
-		Load:  report,
-	}
-	if encRows != nil {
-		artifact.EncBench = encRows
-		fmt.Println("  enc kernel:")
-		for _, r := range encRows {
-			fmt.Printf("    %7d chars  %6d blocks  %8.3fms\n", r.Chars, r.Blocks, r.Ms)
-		}
-	}
-	out, err := artifact.MarshalIndent()
-	if err == nil {
-		err = os.WriteFile(*jsonPath, out, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privedit-load:", err)
-		os.Exit(1)
-	}
-	fmt.Println("  wrote", *jsonPath)
+	runChaos(bench.ChaosConfig{
+		Sessions:      *sessions,
+		OpsPerSession: *ops,
+		DocChars:      *docChars,
+		Scheme:        scheme,
+		BlockChars:    *blockChars,
+		ReloadEvery:   *reloadEvery,
+		Seed:          *seed,
+		Fault:         profile,
+		Trace:         *tracing,
+		TraceSink:     traceSink,
+	}, *jsonPath)
 }
 
 // runChaos executes the chaos harness and optionally writes BENCH_chaos.json.
@@ -379,41 +215,6 @@ func runChaos(cfg bench.ChaosConfig, jsonPath string) {
 		Title: "Chaos: fault-injecting transport vs resilient mediator",
 		Fault: cfg.Fault,
 		Chaos: report,
-	}
-	out, err := artifact.MarshalIndent()
-	if err == nil {
-		err = os.WriteFile(jsonPath, out, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privedit-load:", err)
-		os.Exit(1)
-	}
-	fmt.Println("  wrote", jsonPath)
-}
-
-// runStoreBench executes the persistence bench and optionally writes
-// BENCH_store.json.
-func runStoreBench(cfg bench.StoreConfig, jsonPath string) {
-	report, err := bench.RunStore(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privedit-load: store:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("privedit-load: store bench, %d docs x %d chars, %d-byte cache, hot set %d\n",
-		report.Docs, report.DocChars, report.CacheBytes, report.HotDocs)
-	fmt.Printf("  populate   %.0f ops/s (%.2fs, bulk-load mode)\n", report.PopulateOpsPerSec, report.PopulateS)
-	fmt.Printf("  sustained  %.0f ops/s over %d mixed ops, p50=%.2fms p95=%.2fms p99=%.2fms\n",
-		report.SustainedOpsPerSec, report.SustainedOps, report.P50Ms, report.P95Ms, report.P99Ms)
-	fmt.Printf("  cache      %.1f%% hit rate (%d hits, %d misses, %d evictions)\n",
-		100*report.CacheHitRate, report.CacheHits, report.CacheMisses, report.CacheEvictions)
-	fmt.Printf("  recovery   %.3fs for %d docs (%d snapshot + %d WAL records, %d torn bytes)\n",
-		report.RecoveryS, report.RecoveredDocs, report.SnapshotRecords, report.WALRecords, report.TornBytes)
-	if jsonPath == "" {
-		return
-	}
-	artifact := bench.StoreArtifact{
-		Title: "Persistence: WAL + snapshot store under a bounded cache",
-		Store: report,
 	}
 	out, err := artifact.MarshalIndent()
 	if err == nil {

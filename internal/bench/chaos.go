@@ -1,7 +1,6 @@
-// Chaos harness: the fault-storm counterpart of the load harness. Where
-// RunLoad asks "how many encrypted sessions can the stack sustain",
-// RunChaos asks "does the stack stay *correct* when the cloud misbehaves":
-// it drives concurrent editing sessions through a mediating extension with
+// Chaos harness: RunChaos asks "does the stack stay *correct* when the
+// cloud misbehaves" (throughput and latency are editbench's business). It
+// drives concurrent editing sessions through a mediating extension with
 // the resilience stack enabled, over a seed-driven netsim.FaultTransport
 // injecting drops, 5xx/429s, timeouts, and corruption — then verifies that
 // every document's stored ciphertext still decrypts, and that a fresh
@@ -345,6 +344,23 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 }
 
 func chaosDocID(s int) string { return fmt.Sprintf("chaos-doc-%d", s) }
+
+// drainTraces waits for in-flight traces to finalize (a client root span
+// can end a beat before the server half of its tree does) by polling the
+// collector until its count is stable, then snapshots it.
+func drainTraces(col *trace.Collector) []trace.Trace {
+	deadline := time.Now().Add(2 * time.Second)
+	prev := -1
+	for time.Now().Before(deadline) {
+		n := col.Len()
+		if n == prev {
+			break
+		}
+		prev = n
+		time.Sleep(10 * time.Millisecond)
+	}
+	return col.Snapshot()
+}
 
 // flushDoc waits for docID's durable ack: every queued save on the server
 // and any pending catch-up folded in.

@@ -1,8 +1,8 @@
 // Phase attribution: turning the flight of spans a harness run collects
-// into a per-phase latency breakdown. Where the load report's P50/P95
-// answer "how long did an operation take", the breakdown answers "where
-// did that time go" — load vs decrypt vs transform vs encrypt vs save vs
-// retry vs resync — split by whether the operation hit a version conflict.
+// into a per-phase latency breakdown that answers "where did an
+// operation's time go" — load vs decrypt vs transform vs encrypt vs save
+// vs retry vs resync — split by whether the operation hit a version
+// conflict.
 package bench
 
 import (
@@ -25,7 +25,7 @@ type PhaseStat struct {
 
 // PhaseBreakdown splits the per-phase stats by operation outcome:
 // operations whose trace carries a "conflict" annotation (a 409 anywhere
-// along the way) versus clean ones. The load and chaos artifacts embed it.
+// along the way) versus clean ones. The chaos artifact embeds it.
 type PhaseBreakdown struct {
 	Ops         int         `json:"ops"` // root traces aggregated
 	CleanOps    int         `json:"clean_ops"`

@@ -40,7 +40,7 @@ func TestAggregatePhases(t *testing.T) {
 		phaseTrace(trace.SpanServerRequest, false, map[string][]int64{
 			trace.SpanSave: {99 * ms},
 		}),
-		phaseTrace(trace.SpanRuntimeSample, false, nil),
+		phaseTrace(trace.SpanClientLoad, false, nil),
 	}
 	b := AggregatePhases(traces)
 	if b.Ops != 2 || b.CleanOps != 1 || b.ConflictOps != 1 {
@@ -76,60 +76,16 @@ func TestAggregatePhases(t *testing.T) {
 	}
 }
 
-// TestRunLoadTraced exercises the traced load path end to end: real spans
-// from client, mediator, and server aggregate into a non-empty breakdown.
-func TestRunLoadTraced(t *testing.T) {
-	rep, err := RunLoad(LoadConfig{
-		Sessions:      2,
-		Docs:          2,
-		Duration:      300 * time.Millisecond,
-		DocChars:      2_000,
-		ReloadEvery:   4,
-		Seed:          7,
-		Trace:         true,
-		WatchInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Phases == nil || rep.Phases.Empty() {
-		t.Fatalf("traced run produced no phase breakdown: %+v", rep.Phases)
-	}
-	if rep.Phases.Ops == 0 || len(rep.Phases.Clean) == 0 {
-		t.Fatalf("phase breakdown missing clean ops: %+v", rep.Phases)
-	}
-	var phases []string
-	for _, s := range rep.Phases.Clean {
-		phases = append(phases, s.Phase)
-		if s.Count <= 0 || s.P50Ms < 0 || s.P95Ms < s.P50Ms {
-			t.Fatalf("implausible stat: %+v", s)
-		}
-	}
-	want := map[string]bool{trace.SpanSave: false, trace.SpanEncrypt: false, trace.SpanTransform: false}
-	for _, p := range phases {
-		if _, ok := want[p]; ok {
-			want[p] = true
-		}
-	}
-	for p, seen := range want {
-		if !seen {
-			t.Errorf("clean breakdown missing phase %q (got %v)", p, phases)
-		}
-	}
-	if rep.Watch == nil || rep.Watch.Samples < 2 || rep.Watch.MaxGoroutines <= 0 {
-		t.Fatalf("watchdog stats: %+v", rep.Watch)
-	}
-	if trace.Default.Enabled() {
-		t.Fatal("RunLoad leaked the enabled tracer state")
-	}
-}
-
-// TestRunChaosTraced checks that a traced chaos run attributes retry time.
+// TestRunChaosTraced exercises the traced chaos path end to end: real
+// spans from client, mediator, and server aggregate into a non-empty
+// breakdown with the edit phases present and plausible, retry time is
+// attributed, and the tracer's enabled state is restored afterwards.
 func TestRunChaosTraced(t *testing.T) {
 	rep, err := RunChaos(ChaosConfig{
 		Sessions:      2,
 		OpsPerSession: 12,
 		DocChars:      2_000,
+		ReloadEvery:   4,
 		Seed:          11,
 		Trace:         true,
 		Fault: netsim.FaultProfile{
@@ -143,6 +99,25 @@ func TestRunChaosTraced(t *testing.T) {
 	if rep.Phases == nil || rep.Phases.Empty() {
 		t.Fatalf("traced chaos run produced no phase breakdown: %+v", rep.Phases)
 	}
+	if rep.Phases.Ops == 0 || len(rep.Phases.Clean) == 0 {
+		t.Fatalf("phase breakdown missing clean ops: %+v", rep.Phases)
+	}
+	want := map[string]bool{trace.SpanSave: false, trace.SpanEncrypt: false, trace.SpanTransform: false}
+	var phases []string
+	for _, s := range rep.Phases.Clean {
+		phases = append(phases, s.Phase)
+		if s.Count <= 0 || s.P50Ms < 0 || s.P95Ms < s.P50Ms {
+			t.Fatalf("implausible stat: %+v", s)
+		}
+		if _, ok := want[s.Phase]; ok {
+			want[s.Phase] = true
+		}
+	}
+	for p, seen := range want {
+		if !seen {
+			t.Errorf("clean breakdown missing phase %q (got %v)", p, phases)
+		}
+	}
 	found := false
 	for _, s := range append(append([]PhaseStat(nil), rep.Phases.Clean...), rep.Phases.Conflict...) {
 		if s.Phase == trace.SpanRetry && s.Count > 0 {
@@ -151,5 +126,8 @@ func TestRunChaosTraced(t *testing.T) {
 	}
 	if !found && rep.Retries > 0 {
 		t.Fatalf("mediator retried %d times but no retry phase in %+v", rep.Retries, rep.Phases)
+	}
+	if trace.Default.Enabled() {
+		t.Fatal("RunChaos leaked the enabled tracer state")
 	}
 }

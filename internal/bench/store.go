@@ -1,9 +1,8 @@
-// Store benchmarks: the persistence layer's cold-population throughput,
-// the serving path's sustained rate when the document population dwarfs
-// the resident cache, and crash-recovery time — the numbers behind
-// BENCH_store.json. A separate storm/verify pair drives a *live* server
+// Store harnesses: the nightly eviction-churn soak with its goroutine and
+// heap leak gates, and a storm/verify pair that drives a *live* server
 // over HTTP and checks, ack by ack, that nothing acknowledged before a
-// kill -9 is lost after recovery (scripts/crash_recovery.sh).
+// kill -9 is lost after recovery (scripts/crash_recovery.sh). Store
+// latency and cache behaviour under load are measured by editbench.
 package bench
 
 import (
@@ -11,7 +10,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	//lint:ignore nonce-source seeded generator for a reproducible benchmark workload; never used for keys or nonces
@@ -30,97 +28,6 @@ import (
 	"privedit/internal/store"
 )
 
-// StoreConfig sizes the store benchmark. The ISSUE-scale run (1M cold
-// docs, 10k-doc cache) is the same code at -store-docs 1000000; defaults
-// keep a laptop run under a minute.
-type StoreConfig struct {
-	Docs       int     // cold population size
-	DocChars   int     // content bytes per document
-	CacheBytes int64   // serving-layer resident budget
-	SustainOps int     // mixed operations in the sustained phase
-	HotDocs    int     // hot working set the sustained phase favors
-	WriteFrac  float64 // fraction of sustained ops that are saves
-	Workers    int     // concurrent clients in the sustained phase
-	Dir        string  // store directory ("" = a temp dir, removed after)
-	Seed       int64
-}
-
-func (c StoreConfig) withDefaults() StoreConfig {
-	if c.Docs <= 0 {
-		c.Docs = 20_000
-	}
-	if c.DocChars <= 0 {
-		c.DocChars = 1024
-	}
-	if c.CacheBytes <= 0 {
-		// Roughly a 10%-resident cache at the default sizes.
-		c.CacheBytes = int64(c.Docs/10) * int64(c.DocChars+512)
-	}
-	if c.SustainOps <= 0 {
-		c.SustainOps = 5_000
-	}
-	if c.HotDocs <= 0 {
-		c.HotDocs = c.Docs / 100
-		if c.HotDocs < 16 {
-			c.HotDocs = 16
-		}
-	}
-	if c.WriteFrac <= 0 {
-		c.WriteFrac = 0.25
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 2011
-	}
-	return c
-}
-
-// StoreReport is the measured result, serialized into BENCH_store.json.
-type StoreReport struct {
-	Docs       int   `json:"docs"`
-	DocChars   int   `json:"doc_chars"`
-	CacheBytes int64 `json:"cache_bytes"`
-	HotDocs    int   `json:"hot_docs"`
-
-	// Cold population: SyncNone bulk writes straight into the WALs,
-	// durability restored by one Flush at the end.
-	PopulateS         float64 `json:"populate_s"`
-	PopulateOpsPerSec float64 `json:"populate_ops_per_sec"`
-
-	// Sustained phase: mixed reads and durable saves through the serving
-	// layer while the cache churns (population >> resident budget).
-	SustainedOps       int64   `json:"sustained_ops"`
-	SustainedOpsPerSec float64 `json:"sustained_ops_per_sec"`
-	P50Ms              float64 `json:"p50_ms"`
-	P95Ms              float64 `json:"p95_ms"`
-	P99Ms              float64 `json:"p99_ms"`
-
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-
-	// Recovery: reopening the store cold, replaying snapshot + WAL.
-	RecoveryS       float64 `json:"recovery_s"`
-	RecoveredDocs   int64   `json:"recovered_docs"`
-	SnapshotRecords int64   `json:"snapshot_records"`
-	WALRecords      int64   `json:"wal_records"`
-	TornBytes       int64   `json:"torn_bytes"`
-}
-
-// StoreArtifact is the committed BENCH_store.json shape.
-type StoreArtifact struct {
-	Title string      `json:"title"`
-	Store StoreReport `json:"store"`
-}
-
-// MarshalIndent renders the artifact for committing.
-func (a StoreArtifact) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(a, "", "  ")
-}
-
 // storeContent builds one document's deterministic content; byte i of doc
 // d differs across docs so a recovery mix-up cannot go unnoticed.
 func storeContent(docID string, chars int) string {
@@ -132,151 +39,6 @@ func storeContent(docID string, chars int) string {
 		b.WriteByte('a' + byte((b.Len()*7+len(docID))%26))
 	}
 	return b.String()[:chars]
-}
-
-// RunStore executes the three phases — populate, sustain, recover — and
-// reports all of them.
-func RunStore(cfg StoreConfig) (StoreReport, error) {
-	cfg = cfg.withDefaults()
-	obs.Enable()
-	rep := StoreReport{
-		Docs:       cfg.Docs,
-		DocChars:   cfg.DocChars,
-		CacheBytes: cfg.CacheBytes,
-		HotDocs:    cfg.HotDocs,
-	}
-
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "privedit-store-bench-")
-		if err != nil {
-			return rep, err
-		}
-		defer os.RemoveAll(dir)
-	}
-
-	// Phase 1: cold population, bulk-load mode.
-	disk, err := store.Open(dir, store.Options{Sync: store.SyncNone})
-	if err != nil {
-		return rep, err
-	}
-	start := time.Now()
-	for i := 0; i < cfg.Docs; i++ {
-		id := fmt.Sprintf("doc-%07d", i)
-		if err := disk.Put(id, storeContent(id, cfg.DocChars), 1); err != nil {
-			return rep, fmt.Errorf("populate: %w", err)
-		}
-	}
-	if err := disk.Flush(); err != nil {
-		return rep, err
-	}
-	rep.PopulateS = time.Since(start).Seconds()
-	rep.PopulateOpsPerSec = float64(cfg.Docs) / rep.PopulateS
-	if err := disk.Close(); err != nil {
-		return rep, err
-	}
-
-	// Phase 2: sustained mixed load through the serving layer, durable
-	// saves, cache far smaller than the population.
-	disk, err = store.Open(dir, store.Options{})
-	if err != nil {
-		return rep, err
-	}
-	server := gdocs.NewServer(gdocs.WithBackend(disk), gdocs.WithCacheBytes(cfg.CacheBytes))
-	hitsBefore := obs.Default.Value("privedit_server_cache_hits_total")
-	missesBefore := obs.Default.Value("privedit_server_cache_misses_total")
-	evictionsBefore := obs.Default.Value("privedit_server_cache_evictions_total")
-
-	latencies := make([][]float64, cfg.Workers)
-	opsPer := cfg.SustainOps / cfg.Workers
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	start = time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			ctx := context.Background()
-			samples := make([]float64, 0, opsPer)
-			for i := 0; i < opsPer; i++ {
-				// 80% of ops land on the hot set; the rest sweep the cold
-				// population and keep the evictor honest.
-				var doc int
-				if rng.Float64() < 0.8 {
-					doc = rng.Intn(cfg.HotDocs)
-				} else {
-					doc = rng.Intn(cfg.Docs)
-				}
-				id := fmt.Sprintf("doc-%07d", doc)
-				opStart := time.Now()
-				var err error
-				if rng.Float64() < cfg.WriteFrac {
-					_, err = server.SetContents(ctx, id, storeContent(id, cfg.DocChars), -1)
-				} else {
-					_, _, err = server.Content(ctx, id)
-				}
-				samples = append(samples, float64(time.Since(opStart).Microseconds())/1000)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("sustain worker %d op %d (%s): %w", w, i, id, err)
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-			latencies[w] = samples
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return rep, firstErr
-	}
-	elapsed := time.Since(start).Seconds()
-	var lat Sample
-	for _, s := range latencies {
-		rep.SustainedOps += int64(len(s))
-		for _, v := range s {
-			lat.Add(v)
-		}
-	}
-	rep.SustainedOpsPerSec = float64(rep.SustainedOps) / elapsed
-	rep.P50Ms = lat.Percentile(0.50)
-	rep.P95Ms = lat.Percentile(0.95)
-	rep.P99Ms = lat.Percentile(0.99)
-	rep.CacheHits = int64(obs.Default.Value("privedit_server_cache_hits_total") - hitsBefore)
-	rep.CacheMisses = int64(obs.Default.Value("privedit_server_cache_misses_total") - missesBefore)
-	rep.CacheEvictions = int64(obs.Default.Value("privedit_server_cache_evictions_total") - evictionsBefore)
-	if total := rep.CacheHits + rep.CacheMisses; total > 0 {
-		rep.CacheHitRate = float64(rep.CacheHits) / float64(total)
-	}
-	if err := disk.Close(); err != nil {
-		return rep, err
-	}
-
-	// Phase 3: recovery from cold — the time a restarted server spends in
-	// store.Open before it can serve (same replay work a kill -9 forces).
-	start = time.Now()
-	disk, err = store.Open(dir, store.Options{})
-	if err != nil {
-		return rep, fmt.Errorf("recovery: %w", err)
-	}
-	rep.RecoveryS = time.Since(start).Seconds()
-	rec := disk.Recovery()
-	rep.RecoveredDocs = rec.Docs
-	rep.SnapshotRecords = rec.SnapshotRecords
-	rep.WALRecords = rec.WALRecords
-	rep.TornBytes = rec.TornBytes
-	if rec.Docs != int64(cfg.Docs) {
-		disk.Close()
-		return rep, fmt.Errorf("recovery found %d docs, expected %d", rec.Docs, cfg.Docs)
-	}
-	return rep, disk.Close()
 }
 
 // SoakConfig sizes the nightly store soak: sustained eviction churn with

@@ -72,28 +72,48 @@ func BenchmarkSpliceSequential(b *testing.B) {
 }
 
 // BenchmarkTransformDeltaBurst measures a burst of adjacent single-character
-// edits arriving as one delta — the shape the client's autosave produces —
-// with coalescing on and off.
+// edits — 16 overtyped characters — arriving as one delta, the shape the
+// client's autosave produces and TransformDelta coalesces into one splice
+// ("coalesce"), against the same keystrokes sent one Splice call each
+// ("split").
 func BenchmarkTransformDeltaBurst(b *testing.B) {
-	burst := func(pos, k int) delta.Delta {
+	const keys = 16
+	burst := func(pos int) delta.Delta {
 		d := delta.Delta{delta.RetainOp(pos)}
-		for i := 0; i < k; i++ {
+		for i := 0; i < keys; i++ {
 			d = append(d, delta.InsertOp("z"), delta.DeleteOp(1))
 		}
 		return d
 	}
+	split := func(doc *blockdoc.Document, pos int) error {
+		for i := 0; i < keys; i++ {
+			if _, err := doc.Splice(pos, 0, "z"); err != nil {
+				return err
+			}
+			pos++
+			if _, err := doc.Splice(pos, 1, ""); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for _, mode := range []struct {
-		name     string
-		coalesce bool
-	}{{"coalesce", true}, {"split", false}} {
+		name string
+		edit func(doc *blockdoc.Document, pos int) error
+	}{
+		{"coalesce", func(doc *blockdoc.Document, pos int) error {
+			_, err := doc.TransformDelta(burst(pos))
+			return err
+		}},
+		{"split", split},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			doc := benchDoc(b, benchCodec(b, "rpc"), 8192)
-			doc.SetCoalesce(mode.coalesce)
 			b.ReportAllocs()
 			b.ResetTimer()
 			pos := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := doc.TransformDelta(burst(pos, 16)); err != nil {
+				if err := mode.edit(doc, pos); err != nil {
 					b.Fatal(err)
 				}
 				pos = (pos + 64) % (doc.Len() - 32)

@@ -24,10 +24,6 @@ type Document struct {
 	recordChars  int // transport chars per record
 	trailerChars int // transport chars of trailer
 
-	// coalesceOff disables delta coalescing in TransformDelta (benchmarks
-	// measuring the uncoalesced splice loop only).
-	coalesceOff bool
-
 	// spliceText is the reusable assembly buffer for splice replacement
 	// text (prefixPart + insertion + suffixPart). A Document is
 	// single-threaded by contract, so one scratch buffer suffices; codecs
@@ -69,12 +65,6 @@ func New(codec Codec, blockChars int, salt [SaltLen]byte, keyCheck [KeyCheckLen]
 	}
 	return d, nil
 }
-
-// SetCoalesce toggles delta coalescing in TransformDelta (on by default).
-// Coalescing never changes the resulting document, only how many splices —
-// and therefore which ciphertext delta — produce it; turning it off exists
-// for benchmarks that measure the uncoalesced splice loop.
-func (d *Document) SetCoalesce(enabled bool) { d.coalesceOff = !enabled }
 
 // Header returns the container header.
 func (d *Document) Header() Header { return d.header }

@@ -62,12 +62,10 @@ func (d *Document) TransformDelta(pd delta.Delta) (delta.Delta, error) {
 	if err := pd.Validate(d.Len()); err != nil {
 		return nil, fmt.Errorf("blockdoc: plaintext delta: %w", err)
 	}
-	if !d.coalesceOff {
-		before := len(pd)
-		pd = pd.Coalesce()
-		if dropped := before - len(pd); dropped > 0 {
-			metricCoalescedOps.Add(int64(dropped))
-		}
+	before := len(pd)
+	pd = pd.Coalesce()
+	if dropped := before - len(pd); dropped > 0 {
+		metricCoalescedOps.Add(int64(dropped))
 	}
 	t := &tx{doc: d, srcCount: d.list.Len()}
 	cursor := 0
@@ -84,7 +82,7 @@ func (d *Document) TransformDelta(pd delta.Delta) (delta.Delta, error) {
 			// In coalesced form a delete can only be followed by the
 			// run's merged insert: fold both into one splice.
 			ins := ""
-			if !d.coalesceOff && i+1 < len(pd) && pd[i+1].Kind == delta.Insert {
+			if i+1 < len(pd) && pd[i+1].Kind == delta.Insert {
 				ins = pd[i+1].Str
 				i++
 			}

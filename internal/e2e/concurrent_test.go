@@ -110,8 +110,9 @@ func TestConcurrentSessionsDistinctDocs(t *testing.T) {
 // TestConcurrentSessionsSharedDoc has several sessions fight over one
 // document through one extension, then checks the version-conflict
 // accounting: the server's obs counter must have grown by exactly the
-// number of optimistic-concurrency rejections, and a deterministic forced
-// conflict must bump it by exactly one.
+// number of optimistic-concurrency rejections, a deterministic forced
+// conflict must bump it by exactly one, and the extension must have
+// needed no full resync and dropped no save.
 func TestConcurrentSessionsSharedDoc(t *testing.T) {
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
@@ -220,5 +221,12 @@ func TestConcurrentSessionsSharedDoc(t *testing.T) {
 	}
 	if plain != final.Text() {
 		t.Error("stored ciphertext decrypts to different text than a mediated load returns")
+	}
+
+	// Sessions sharing one extension share its view of the document, so
+	// every conflict above is repaired by transform-merge: none may fall
+	// back to a full resync, and no acknowledged save may be dropped.
+	if st := ext.Stats(); st.ConflictResyncs != 0 || st.DroppedSaves != 0 {
+		t.Errorf("ConflictResyncs = %d, DroppedSaves = %d; want 0 and 0", st.ConflictResyncs, st.DroppedSaves)
 	}
 }

@@ -62,7 +62,8 @@ func NewClient(httpc *http.Client, base, docID string) *Client {
 // WithContext sets the base context attached to every outgoing request and
 // returns the client. Cancelling the context aborts in-flight requests —
 // including the simulated netsim delay and the server-side store operation
-// — which is how the load harness enforces per-session deadlines.
+// — and the chaos harness uses it to run each operation under its own
+// trace.
 func (c *Client) WithContext(ctx context.Context) *Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()

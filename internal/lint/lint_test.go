@@ -48,8 +48,7 @@ func TestModuleClean(t *testing.T) {
 // TestRandomnessConfinedToCrypt asserts the §VI-A discipline end to end:
 // internal/crypt is the only unannotated randomness source in the
 // module, and the only annotated exemptions are the seeded evaluation
-// workload generator and the seeded benchmark tapes (hot-path ops,
-// store workload).
+// workload generator and the seeded store soak and storm workloads.
 func TestRandomnessConfinedToCrypt(t *testing.T) {
 	m := loadTestModule(t)
 	diags := m.Run([]*Analyzer{NonceSource})
@@ -62,7 +61,7 @@ func TestRandomnessConfinedToCrypt(t *testing.T) {
 		}
 		t.Errorf("unannotated randomness source outside internal/crypt: %s", d)
 	}
-	if want := []string{"internal/bench/hotpath.go", "internal/bench/store.go", "internal/workload/workload.go"}; !equalStrings(suppressed, want) {
+	if want := []string{"internal/bench/store.go", "internal/workload/workload.go"}; !equalStrings(suppressed, want) {
 		t.Errorf("annotated randomness exemptions = %v, want %v", suppressed, want)
 	}
 

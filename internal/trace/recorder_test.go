@@ -63,7 +63,7 @@ func TestRecorderHandlerFilters(t *testing.T) {
 	fr.Record(mkTrace("aa", "doc-1", SpanEditOp, 1e6))  // 1ms
 	fr.Record(mkTrace("bb", "doc-2", SpanEditOp, 5e6))  // 5ms
 	fr.Record(mkTrace("cc", "doc-1", SpanEditOp, 20e6)) // 20ms
-	fr.Record(mkTrace("dd", "doc-1", SpanRuntimeSample, 1e3))
+	fr.Record(mkTrace("dd", "doc-1", SpanServerRequest, 1e3))
 	h := fr.Handler()
 
 	get := func(query string) recorderPage {

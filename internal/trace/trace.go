@@ -6,8 +6,8 @@
 //
 // The design mirrors internal/obs: instrumented call sites are guarded by
 // one atomic load and cost a few nanoseconds while tracing is disabled
-// (see BenchmarkTraceDisabled), so the hot path measured by the hotpath
-// experiment is unaffected. Binaries that want traces call trace.Enable().
+// (see BenchmarkTraceDisabled), so an untraced edit path is unaffected.
+// Binaries that want traces call trace.Enable().
 //
 // A trace is a tree of spans sharing one trace ID. Spans propagate through
 // context.Context in-process and through the X-Privedit-Trace header over
@@ -67,7 +67,6 @@ const (
 	SpanServerRequest = "server_request" // gdocs server handler (middleware)
 	SpanServerStore   = "server_store"   // gdocs server store operation
 	SpanNetDelay      = "net_delay"      // netsim simulated link+server delay
-	SpanRuntimeSample = "runtime_sample" // Watch goroutine/heap sample
 )
 
 // EditPhases lists the span names the bench harnesses aggregate into the

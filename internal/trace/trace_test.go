@@ -127,7 +127,7 @@ func TestDoubleEndAndLateAnnotate(t *testing.T) {
 func TestTracerRootIgnoresParent(t *testing.T) {
 	col := withDefault(t)
 	ctx, a := Start(context.Background(), SpanEditOp)
-	_, b := Default.Root(ctx, SpanRuntimeSample)
+	_, b := Default.Root(ctx, SpanServerRequest)
 	if a.TraceID() == b.TraceID() {
 		t.Fatal("Root reused the parent's trace")
 	}

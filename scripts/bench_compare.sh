@@ -1,105 +1,92 @@
 #!/bin/sh
-# Bench regression gate: compare this run's bench artifacts against the
-# latest main-branch baselines and fail on a >THRESHOLD% regression in
-# throughput or tail latency. CI downloads the baselines from the last
-# successful main run; with no baseline the gate skips (first run on a
-# fresh repo, expired artifacts) rather than failing spuriously.
+# Bench regression gate: compare editbench results in a current directory
+# against those in a baseline directory, and fail when an end-to-end
+# metric got worse by more than its bound. Metric names, directions
+# ("better") and bounds all come from BENCHMARK.json at the repository
+# root, so the gate follows the benchmark's own definition.
 #
-# Usage: scripts/bench_compare.sh <baseline_dir> <current_dir> [threshold_pct]
+# Usage: scripts/bench_compare.sh <baseline_dir> <current_dir>
 #
-# Gated series:
-#   BENCH_load.json     load.ops_per_sec (down is bad), load.p95_ms (up is bad),
-#                       and the enc_kernel rows: per-size ms (up is bad), so
-#                       a kernel regression fails the lane even when the
-#                       mediated load numbers hold steady
-#   BENCH_hotpath.json  per-variant ns_per_op, p95_us, and allocs_per_op
-#                       (up is bad — allocation regressions on the hot path
-#                       are exactly how the overhead-bound kernels decayed)
-#   BENCH_store.json    store.sustained_ops_per_sec (down), store.p95_ms (up)
+# Each directory holds editbench result files named
+# editbench_<workload>[_<anything>].json, each the last line a run printed
+# (`bash editbench/run.sh --workload W ... | tail -n 1`). Per workload and
+# metric the script compares the median over however many runs a
+# directory holds: one run each in CI, or ten or more alternating
+# baseline/current runs on a quiet machine. It also fails when a current
+# run is not correct, or when the share of failed operations rises. A
+# workload missing from either directory is skipped, and with nothing to
+# compare the gate skips rather than fails.
 set -eu
 
-BASE="${1:?usage: bench_compare.sh <baseline_dir> <current_dir> [threshold_pct]}"
-CUR="${2:?usage: bench_compare.sh <baseline_dir> <current_dir> [threshold_pct]}"
-THRESHOLD="${3:-25}"
+BASE="${1:?usage: bench_compare.sh <baseline_dir> <current_dir>}"
+CUR="${2:?usage: bench_compare.sh <baseline_dir> <current_dir>}"
+SPEC="$(dirname "$0")/../BENCHMARK.json"
 
-python3 - "$BASE" "$CUR" "$THRESHOLD" <<'EOF'
-import json, os, sys
+python3 - "$BASE" "$CUR" "$SPEC" <<'EOF'
+import glob, json, os, statistics, sys
 
-base_dir, cur_dir, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
-failures = []
-compared = 0
+base_dir, cur_dir, spec_path = sys.argv[1:4]
+with open(spec_path) as f:
+    spec = json.load(f)
 
-def load(d, name):
-    path = os.path.join(d, name)
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-def check(name, metric, base, cur, higher_is_better):
-    """One gated series: fail on a regression beyond the threshold."""
-    global compared
-    if not base or not cur:
-        return
-    compared += 1
-    if higher_is_better:
-        change = (base - cur) / base * 100  # % lost
-        verdict = "down"
-    else:
-        change = (cur - base) / base * 100  # % gained (latency)
-        verdict = "up"
-    line = f"{name}: {metric} {base:.3f} -> {cur:.3f} ({verdict} {change:+.1f}%)"
-    if change > threshold:
-        failures.append(line + f" exceeds the {threshold:.0f}% budget")
-        print("FAIL " + line)
-    else:
-        print("ok   " + line)
-
-# BENCH_load.json: sustained mediated throughput and tail latency.
-b, c = load(base_dir, "BENCH_load.json"), load(cur_dir, "BENCH_load.json")
-if b and c:
-    check("BENCH_load", "ops_per_sec", b["load"]["ops_per_sec"], c["load"]["ops_per_sec"], True)
-    check("BENCH_load", "p95_ms", b["load"]["p95_ms"], c["load"]["p95_ms"], False)
-    # Enc kernel rows, matched by document size. .get() keeps the gate
-    # tolerant of baselines that predate the kernel rows or sampled
-    # different sizes. A baseline from before the single kernel carries
-    # enc_kernel_serial_vs_parallel rows, whose parallel_ms timed the same
-    # batched kernel.
-    base_rows = {r["chars"]: r for r in
-                 b.get("enc_kernel") or b.get("enc_kernel_serial_vs_parallel") or []}
-    for row in c.get("enc_kernel") or []:
-        bb = base_rows.get(row["chars"])
-        if not bb:
+def runs(d, workload):
+    """Result objects for one workload: the last non-empty line of each file."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(d, f"editbench_{workload}*.json"))):
+        stem = os.path.basename(path)[len("editbench_"):-len(".json")]
+        if stem != workload and not stem.startswith(workload + "_"):
             continue
-        check(f"BENCH_load[enc_kernel {row['chars']}ch]", "ms",
-              bb.get("ms", bb.get("parallel_ms")), row["ms"], False)
+        with open(path) as f:
+            lines = [l for l in f.read().splitlines() if l.strip()]
+        if lines:
+            out.append(json.loads(lines[-1]))
+    return out
 
-# BENCH_hotpath.json: per-variant hot-path cost.
-b, c = load(base_dir, "BENCH_hotpath.json"), load(cur_dir, "BENCH_hotpath.json")
-if b and c:
-    base_rows = {r["variant"]: r for r in b["result"]["rows"]}
-    for row in c["result"]["rows"]:
-        bb = base_rows.get(row["variant"])
-        if not bb:
+def failed_share(rs):
+    attempted = sum(r.get("attempted", 0) for r in rs)
+    return sum(r.get("failed", 0) for r in rs) / attempted if attempted else 0.0
+
+failures, compared = [], 0
+for w in spec["workloads"]:
+    name = w["name"]
+    b, c = runs(base_dir, name), runs(cur_dir, name)
+    if not b or not c:
+        print(f"skip {name}: {len(b)} baseline and {len(c)} current runs")
+        continue
+    print(f"{name}: median of {len(b)} baseline and {len(c)} current runs")
+    for i, r in enumerate(c):
+        if not r.get("correct"):
+            failures.append(f"{name}: current run {i} is not correct")
+            print(f"FAIL {name}: current run {i} is not correct")
+    fb, fc = failed_share(b), failed_share(c)
+    if fc > fb:
+        failures.append(f"{name}: failed-op share {fb:.4f} -> {fc:.4f}")
+        print(f"FAIL {name}: failed-op share {fb:.4f} -> {fc:.4f}")
+    for m in spec["end_to_end"]:
+        key = m["name"]
+        bv = [r["metrics"][key]["value"] for r in b if key in r.get("metrics", {})]
+        cv = [r["metrics"][key]["value"] for r in c if key in r.get("metrics", {})]
+        if not bv or not cv:
             continue
-        check(f"BENCH_hotpath[{row['variant']}]", "ns_per_op", bb["ns_per_op"], row["ns_per_op"], False)
-        check(f"BENCH_hotpath[{row['variant']}]", "p95_us", bb["p95_us"], row["p95_us"], False)
-        if bb.get("allocs_per_op") and row.get("allocs_per_op") is not None:
-            check(f"BENCH_hotpath[{row['variant']}]", "allocs_per_op",
-                  bb["allocs_per_op"], row["allocs_per_op"], False)
+        bm, cm = statistics.median(bv), statistics.median(cv)
+        if bm == 0:
+            print(f"skip {name}: {key} baseline median is 0")
+            continue
+        compared += 1
+        # Worsening as a fraction of the baseline, whichever way is worse.
+        worse = (cm - bm) / bm if m["better"] == "lower" else (bm - cm) / bm
+        line = f"{name}: {key} {bm:.4g} -> {cm:.4g} {m['unit']} ({worse:+.1%} worse, bound {m['bound']:.0%})"
+        if worse > m["bound"]:
+            failures.append(line)
+            print("FAIL " + line)
+        else:
+            print("ok   " + line)
 
-# BENCH_store.json: persistence-layer sustained rate and tail latency.
-b, c = load(base_dir, "BENCH_store.json"), load(cur_dir, "BENCH_store.json")
-if b and c:
-    check("BENCH_store", "sustained_ops_per_sec",
-          b["store"]["sustained_ops_per_sec"], c["store"]["sustained_ops_per_sec"], True)
-    check("BENCH_store", "p95_ms", b["store"]["p95_ms"], c["store"]["p95_ms"], False)
-
-if compared == 0:
-    print("bench-compare: no overlapping artifacts to compare; skipping")
-    sys.exit(0)
 if failures:
-    print(f"bench-compare: {len(failures)} regression(s) beyond the {threshold:.0f}% budget")
+    print(f"bench-compare: {len(failures)} regression(s)")
     sys.exit(1)
-print(f"bench-compare: {compared} series within the {threshold:.0f}% budget")
+if compared == 0:
+    print("bench-compare: no overlapping results to compare; skipping")
+    sys.exit(0)
+print(f"bench-compare: {compared} metrics within their bounds")
 EOF
