@@ -15,8 +15,12 @@ vet:
 # Project-specific static analysis: the crypto & concurrency invariant
 # suite (internal/lint), including the interprocedural plaintext-flow
 # taint rule. Run `go run ./cmd/privedit-lint -rules` for the rule list;
-# suppress with `//lint:ignore RULE reason`.
+# suppress with `//lint:ignore RULE reason`. First, a formatting gate:
+# gofmt must list nothing outside internal/lint/testdata, whose fixtures
+# are kept as written.
 lint:
+	@unformatted=$$(gofmt -l *.go cmd examples internal editbench | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/privedit-lint ./...
 
 # Taint-analysis cost gate: run only the whole-module taint pass, print
@@ -60,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCoalesce -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -fuzz=FuzzNormalizeIdempotent -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -fuzz=FuzzLoadTransport -fuzztime=$(FUZZTIME) ./internal/blockdoc/
+	$(GO) test -fuzz=FuzzReload -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzTransformDelta -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzOpsAgainstReference -fuzztime=$(FUZZTIME) ./internal/skiplist/
 	$(GO) test -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) ./internal/diff/
@@ -105,7 +110,10 @@ ot-smoke:
 # fault storm, with per-document convergence verification (the run fails
 # if any document diverges, and if tracing attributed nothing). Spans are
 # exported as JSONL, and the artifact is checked for a per-phase latency
-# breakdown. Writes /tmp/BENCH_chaos.json and /tmp/privedit-traces.jsonl.
+# breakdown. The seed fixes the request stream, so its request, drop,
+# lost-response and 429 counts must equal the committed BENCH_chaos.json
+# (made by this same command): a change that alters what goes on the wire
+# shows up here. Writes /tmp/BENCH_chaos.json and /tmp/privedit-traces.jsonl.
 chaos-smoke:
 	@rm -f /tmp/privedit-traces.jsonl
 	$(GO) run ./cmd/privedit-load -chaos -sessions 4 -ops 40 -seed 2011 \
@@ -113,7 +121,11 @@ chaos-smoke:
 	@test -s /tmp/privedit-traces.jsonl || { echo "chaos-smoke: empty span export"; exit 1; }
 	@grep -q '"phases"' /tmp/BENCH_chaos.json || { echo "chaos-smoke: no phase breakdown in artifact"; exit 1; }
 	@grep -q '"phase": "save"' /tmp/BENCH_chaos.json || { echo "chaos-smoke: save phase missing from breakdown"; exit 1; }
-	@echo "chaos-smoke: converged, phase breakdown and span export present"
+	@for k in requests drops drop_responses throttles_429; do \
+		want=$$(grep -o "\"$$k\": [0-9]*" BENCH_chaos.json); got=$$(grep -o "\"$$k\": [0-9]*" /tmp/BENCH_chaos.json); \
+		[ -n "$$want" ] && [ "$$got" = "$$want" ] || { echo "chaos-smoke: got $$got, committed BENCH_chaos.json has $$want"; exit 1; }; \
+	done
+	@echo "chaos-smoke: converged, fault counts match BENCH_chaos.json, phase breakdown and span export present"
 
 # The editor benchmark's smoke test. editbench/ is a nested module (it
 # replaces privedit with ../), so `go test ./...` at the root never builds

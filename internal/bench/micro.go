@@ -61,6 +61,13 @@ func Fig4(cfg Config, scheme core.Scheme) (Fig4Result, error) {
 		return Fig4Result{}, err
 	}
 
+	// Decryption runs on a second editor under the same password. Each
+	// trial's D′ container comes from a fresh Enc (a new r0), so its Reload
+	// opens and verifies the whole container: the paper's Dec.
+	dec, err := core.OpenWith("bench-password", ed.Transport(), core.Options{})
+	if err != nil {
+		return Fig4Result{}, err
+	}
 	var encTime, decTime, incTime time.Duration
 	var encChars, decChars, incChars int
 	for i := 0; i < trials; i++ {
@@ -82,7 +89,7 @@ func Fig4(cfg Config, scheme core.Scheme) (Fig4Result, error) {
 
 		transport := ed.Transport()
 		start = time.Now()
-		if err := ed.Reload(transport); err != nil {
+		if _, err := dec.Reload(transport); err != nil {
 			return Fig4Result{}, err
 		}
 		decTime += time.Since(start)

@@ -48,6 +48,10 @@ var (
 	ErrIntegrity = errors.New("blockdoc: integrity check failed")
 	ErrRange     = errors.New("blockdoc: position out of range")
 	ErrTooLarge  = errors.New("blockdoc: document exceeds size limit")
+	// ErrNotSuccessor is a codec's answer from Reopen when the new
+	// container starts a new ring (a fresh r0, as after a whole-document
+	// Enc) and so cannot be opened as an edit of the held one.
+	ErrNotSuccessor = errors.New("blockdoc: container is not an edit of the held one")
 )
 
 // Block is one plaintext block and its encrypted record. Codecs populate
@@ -100,6 +104,28 @@ type Codec interface {
 	// unchanged) and a new trailer (nil if unchanged).
 	Splice(left *Block, removed []*Block, chunks [][]byte, right *Block) (
 		added []*Block, newLeftRecord []byte, newPrefix []byte, newTrailer []byte, err error)
+
+	// Reopen is the dual of Splice, the incremental Dec step: it opens
+	// the changed windows of a container that is an edit of the held one.
+	// Outside the windows the container's records are the held ones,
+	// byte for byte and in order. prefix is the new scheme prefix, nil if
+	// unchanged; a non-nil prefix comes with a first window at the
+	// document head. trailer is the new trailer region. Given that the
+	// held container passed DecryptAll's check, Reopen must accept
+	// exactly when the new container would pass it too. It returns the
+	// opened blocks of all windows in order, or ErrNotSuccessor when the
+	// container starts a new ring; on any error the codec state is
+	// unchanged.
+	Reopen(prefix []byte, windows []Window, trailer []byte) (added []*Block, err error)
+}
+
+// Window is one changed run of a re-opened container: Records, decoded
+// but not yet opened, now stand where the blocks Removed stood, just
+// before the surviving block Right (nil when the run reaches the tail).
+type Window struct {
+	Removed []*Block
+	Records [][]byte
+	Right   *Block
 }
 
 // Header is the plaintext container header. Scheme and block size must be

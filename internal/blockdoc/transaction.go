@@ -58,10 +58,15 @@ var metricCoalescedOps = obs.NewCounter("privedit_delta_ops_coalesced_total",
 // once, not once for the delete and again for the insert.
 //
 //taint:sanitizer emits a ciphertext delta
-func (d *Document) TransformDelta(pd delta.Delta) (delta.Delta, error) {
+func (d *Document) TransformDelta(pd delta.Delta) (cd delta.Delta, err error) {
 	if err := pd.Validate(d.Len()); err != nil {
 		return nil, fmt.Errorf("blockdoc: plaintext delta: %w", err)
 	}
+	defer func() {
+		if err != nil { // a part-done edit is not the cached container
+			d.transport, d.pending = "", nil
+		}
+	}()
 	before := len(pd)
 	pd = pd.Coalesce()
 	if dropped := before - len(pd); dropped > 0 {
@@ -213,6 +218,7 @@ func (t *tx) splice(pos, del int, ins string) error {
 			return err
 		}
 	}
+	d.churn += len(added)
 	if newPrefix != nil {
 		d.schemePrefix = newPrefix
 		t.prefixChanged = true
@@ -370,5 +376,11 @@ func (t *tx) commit() (delta.Delta, error) {
 		out = append(out, delta.DeleteOp(d.trailerChars), delta.InsertOp(crypt.EncodeTransport(d.trailer)))
 	}
 
-	return out.Normalize(), nil
+	out = out.Normalize()
+	if d.transport != "" && d.pending == nil {
+		d.pending = out
+	} else {
+		d.transport, d.pending = "", nil
+	}
+	return out, nil
 }

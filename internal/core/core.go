@@ -300,11 +300,14 @@ func (e *Editor) RekeyWith(newPassword string, opts Options) (string, error) {
 }
 
 // Reload replaces the editor's state from a container produced under the
-// same password and parameters: Dec without re-deriving the key. The
-// container must carry the same scheme, block size, and key check;
-// otherwise an error is returned and the state is unchanged.
-func (e *Editor) Reload(transport string) error {
-	return e.doc.LoadTransport(transport)
+// same password and parameters: Dec without re-deriving the key. When the
+// container is an edit of the one the editor holds, only the changed
+// records are decoded and verified. The container must carry the same
+// scheme, block size, and key check; otherwise an error is returned and the
+// state is unchanged. Reload returns the plaintext delta from the text the
+// editor held to the text it now holds.
+func (e *Editor) Reload(transport string) (delta.Delta, error) {
+	return e.doc.Reload(transport)
 }
 
 // Stats exposes the underlying document statistics.

@@ -114,10 +114,10 @@ func referenceDecodeTransport(s string) ([]byte, error) {
 // encodings mutate into rejects, garbage stays garbage).
 func FuzzDecodeTransportMatchesReference(f *testing.F) {
 	f.Add("")
-	f.Add("74")  // canonical encoding of 0xFF
-	f.Add("75")  // same data bits, nonzero slack -> must reject
-	f.Add("7")   // impossible length
-	f.Add("a2")  // lowercase: outside the alphabet
+	f.Add("74")         // canonical encoding of 0xFF
+	f.Add("75")         // same data bits, nonzero slack -> must reject
+	f.Add("7")          // impossible length
+	f.Add("a2")         // lowercase: outside the alphabet
 	f.Add("MZXW6YTBOI") // "foobar"
 	f.Add(strings.Repeat("A", 16))
 	f.Fuzz(func(t *testing.T, s string) {

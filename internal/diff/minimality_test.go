@@ -173,13 +173,13 @@ func checkRuneAligned(t *testing.T, d delta.Delta, a string) {
 // with character positions.
 func TestDiffNeverSplitsRune(t *testing.T) {
 	cases := []struct{ a, b string }{
-		{"é", "è"},               // same lead byte, different continuation
-		{"日本語", "日本話"},           // shared 2-byte prefix inside final rune
-		{"aé", "aè"},             // ASCII prefix
-		{"día", "dia"},           // accent removed
-		{"𝛼𝛽", "𝛽𝛼"},             // 4-byte runes swapped
-		{"caña", "cana"},         //
-		{"€100", "€200"},         //
+		{"é", "è"},       // same lead byte, different continuation
+		{"日本語", "日本話"},   // shared 2-byte prefix inside final rune
+		{"aé", "aè"},     // ASCII prefix
+		{"día", "dia"},   // accent removed
+		{"𝛼𝛽", "𝛽𝛼"},     // 4-byte runes swapped
+		{"caña", "cana"}, //
+		{"€100", "€200"}, //
 		{"日本語テキスト", "日本語のテキスト"}, // insertion mid-string
 	}
 	for _, tc := range cases {
@@ -207,9 +207,9 @@ func TestDiffInvalidUTF8(t *testing.T) {
 	cases := []struct{ a, b string }{
 		{"\xff\xfe", "\xff"},
 		{"a\x80b", "a\x81b"},
-		{"é"[:1], "é"},              // lone lead byte vs full rune
-		{"\xf0\x9d\x9b", "𝛼"},       // truncated 4-byte sequence vs full
-		{"ab\xc3", "ab\xc3\xa9"},    // truncated suffix completed
+		{"é"[:1], "é"},           // lone lead byte vs full rune
+		{"\xf0\x9d\x9b", "𝛼"},    // truncated 4-byte sequence vs full
+		{"ab\xc3", "ab\xc3\xa9"}, // truncated suffix completed
 		{string([]byte{0, 255}), ""},
 	}
 	for _, tc := range cases {

@@ -114,9 +114,10 @@ type Stats struct {
 // goroutine talks to the server, and distinct documents proceed fully in
 // parallel.
 type session struct {
-	mu sync.Mutex
-	ed *core.Editor // shadow editor tracking the server's acked lineage
-	pl *plState     // save queue and local view, nil until first touch
+	mu     sync.Mutex
+	ed     *core.Editor // shadow editor tracking the server's acked lineage
+	shadow string       // the plaintext ed holds
+	pl     *plState     // save queue and local view, nil until first touch
 }
 
 // Extension is the mediating extension. Install it as the Transport of the
@@ -264,7 +265,7 @@ func (e *Extension) editorLocked(sess *session, docID string) (*core.Editor, err
 	if err != nil {
 		return nil, err
 	}
-	sess.ed = ed
+	sess.ed, sess.shadow = ed, ""
 	return ed, nil
 }
 
@@ -283,7 +284,7 @@ func (e *Extension) openEditorLocked(sess *session, docID, transport string) (*c
 		}
 		return nil, err
 	}
-	sess.ed = ed
+	sess.ed, sess.shadow = ed, ed.Plaintext()
 	return ed, nil
 }
 

@@ -261,14 +261,13 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	if transport != "" {
 		_, dsp := trace.Start(lctx, trace.SpanDecrypt)
 		sp := metricDecryptLatency.Start()
-		ed, err := e.openEditorLocked(sess, docID, transport)
-		if err != nil {
+		if _, err := e.openEditorLocked(sess, docID, transport); err != nil {
 			dsp.End()
 			return nil, err
 		}
 		sp.End()
 		dsp.End()
-		plain = ed.Plaintext()
+		plain = sess.shadow
 		e.bump(func(s *Stats) { s.LoadsDecrypted++ })
 		metricOpLoad.Inc()
 	} else {
@@ -395,28 +394,37 @@ func (e *Extension) fetchServerState(ctx context.Context, baseURL *url.URL, docI
 	return mirror, cu.Version, true, nil
 }
 
-// reloadShadowLocked re-opens the shadow editor from the server-space
-// mirror (decrypt-only via Reload when possible, KDF re-open otherwise),
-// re-aligning it with the last server-acked state. Callers hold sess.mu.
-func (e *Extension) reloadShadowLocked(sess *session, docID string) error {
-	pl := sess.pl
-	transport := pl.srvTransport
+// reopenShadowLocked re-aligns the shadow editor with mirror, a
+// server-space container, and returns the plaintext it then holds. The
+// editor re-opens in place when it can — Reload decodes and verifies only
+// the records that differ from the container the shadow holds — and falls
+// back to a fresh open with the key derivation. An empty mirror is a
+// document with no lineage yet. Callers hold sess.mu.
+func (e *Extension) reopenShadowLocked(sess *session, docID, mirror string) (string, error) {
+	transport := mirror
 	if e.useStego && transport != "" {
 		var err error
 		if transport, err = stego.Decode(transport); err != nil {
-			return err
+			return "", err
 		}
 	}
 	if transport == "" {
 		sess.ed = nil
-		return nil
+		return "", nil
 	}
-	if sess.ed != nil && sess.ed.Reload(transport) == nil {
-		return nil
+	if sess.ed != nil {
+		if pd, err := sess.ed.Reload(transport); err == nil {
+			if sess.shadow, err = pd.Apply(sess.shadow); err != nil {
+				sess.shadow = sess.ed.Plaintext()
+			}
+			return sess.shadow, nil
+		}
 	}
 	sess.ed = nil
-	_, err := e.openEditorLocked(sess, docID, transport)
-	return err
+	if _, err := e.openEditorLocked(sess, docID, transport); err != nil {
+		return "", err
+	}
+	return sess.shadow, nil
 }
 
 // repairLocked rebases the session onto a new server lineage: mirror (the
@@ -427,24 +435,9 @@ func (e *Extension) reloadShadowLocked(sess *session, docID string) error {
 // writer re-aligns on demand. Callers hold sess.mu.
 func (e *Extension) repairLocked(ctx context.Context, sess *session, docID string, mirror string, version int) error {
 	pl := sess.pl
-	transport := mirror
-	if e.useStego && transport != "" {
-		var err error
-		if transport, err = stego.Decode(transport); err != nil {
-			return err
-		}
-	}
-	var newPlain string
-	if transport == "" {
-		sess.ed = nil
-	} else {
-		if sess.ed == nil || sess.ed.Reload(transport) != nil {
-			sess.ed = nil
-			if _, err := e.openEditorLocked(sess, docID, transport); err != nil {
-				return err
-			}
-		}
-		newPlain = sess.ed.Plaintext()
+	newPlain, err := e.reopenShadowLocked(sess, docID, mirror)
+	if err != nil {
+		return err
 	}
 
 	// Merge runs of adjacent delta entries into one composed net delta
@@ -651,6 +644,7 @@ func (e *Extension) transformEntryLocked(ctx context.Context, sess *session, doc
 		if err != nil {
 			return err
 		}
+		sess.shadow = ent.after
 		if e.useStego {
 			if ctxt, err = stego.Encode(ctxt); err != nil {
 				return err
@@ -667,10 +661,13 @@ func (e *Extension) transformEntryLocked(ctx context.Context, sess *session, doc
 		metricOpFull.Inc()
 		return nil
 	}
-	if sess.ed == nil || sess.ed.Plaintext() != ent.before {
-		// The shadow drifted (a coalesce discarded a transformed entry, or
-		// an earlier failure dropped it): re-align from the acked mirror.
-		if err := e.reloadShadowLocked(sess, docID); err != nil {
+	// The shadow must hold the entry's base: its plaintext, and — outside
+	// stego, where the mirror is the container itself — the mirror's
+	// container. Both compare as one pointer check while the lineage
+	// holds; after a drift (a coalesce discarded a transformed entry, or
+	// an earlier failure dropped it) the shadow re-aligns from the mirror.
+	if sess.ed == nil || sess.shadow != ent.before || (!e.useStego && sess.ed.Transport() != pl.srvTransport) {
+		if _, err := e.reopenShadowLocked(sess, docID, pl.srvTransport); err != nil {
 			return err
 		}
 	}
@@ -678,28 +675,35 @@ func (e *Extension) transformEntryLocked(ctx context.Context, sess *session, doc
 	if ed == nil {
 		return errors.New("mediator: no shadow lineage for delta save")
 	}
-	if ed.Plaintext() != ent.before {
+	if sess.shadow != ent.before {
 		return errors.New("mediator: shadow lineage mismatch")
 	}
 	_, tsp := trace.Start(ctx, trace.SpanTransform)
 	defer tsp.End()
 	cd, err := ed.TransformDeltaOps(ent.p)
+	if err == nil && ed.Len() != len(ent.after) {
+		err = errors.New("mediator: entry delta does not produce its plaintext")
+	}
 	if err != nil {
+		sess.ed = nil // its state no longer matches any tracked plaintext
 		return err
 	}
+	sess.shadow = ent.after
+	var st string
 	if e.useStego {
 		if cd, err = stego.TransformDelta(cd); err != nil {
 			return err
 		}
+		if st, err = cd.Apply(pl.srvTransport); err != nil {
+			return err
+		}
+	} else {
+		st = ed.Transport()
 	}
 	wire := cd.String()
-	st, err := cd.Apply(pl.srvTransport)
-	if err != nil {
-		return err
-	}
 	ent.wire = wire
 	ent.sentTransport = st
-	ent.sentPlain = ed.Plaintext()
+	ent.sentPlain = ent.after
 	e.bump(func(s *Stats) {
 		s.DeltasTransformed++
 		s.CipherBytesOut += len(wire)

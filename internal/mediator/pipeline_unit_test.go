@@ -169,14 +169,14 @@ func TestDropQueueLocked(t *testing.T) {
 	}
 }
 
-func TestReloadShadowLockedEmptyMirror(t *testing.T) {
+func TestReopenShadowLockedEmptyMirror(t *testing.T) {
 	e := unitExtension()
 	sess := &session{pl: &plState{srvTransport: ""}}
 	sess.mu.Lock()
-	err := e.reloadShadowLocked(sess, "shadow-doc")
+	plain, err := e.reopenShadowLocked(sess, "shadow-doc", sess.pl.srvTransport)
 	sess.mu.Unlock()
-	if err != nil {
-		t.Fatalf("reload from empty mirror: %v", err)
+	if err != nil || plain != "" {
+		t.Fatalf("reopen from empty mirror: (%q, %v)", plain, err)
 	}
 	if sess.ed != nil {
 		t.Error("empty mirror left a shadow editor behind")

@@ -166,11 +166,11 @@ func TestMiddlewareExemplarFromTraceHeader(t *testing.T) {
 
 func TestTraceIDOf(t *testing.T) {
 	cases := map[string]string{
-		"":         "",
-		"abc":      "",
-		"abc-def":  "abc",
-		"-def":     "",
-		"a-b-c":    "a",
+		"":        "",
+		"abc":     "",
+		"abc-def": "abc",
+		"-def":    "",
+		"a-b-c":   "a",
 	}
 	for in, want := range cases {
 		if got := traceIDOf(in); got != want {

@@ -267,3 +267,21 @@ func (c *Codec) Splice(left *blockdoc.Block, removed []*blockdoc.Block, chunks [
 	}
 	return added, nil, nil, nil, nil
 }
+
+// Reopen implements blockdoc.Codec. Blocks are independent given r0, so
+// opening the windows' records under the held r0 is the whole of
+// DecryptAll's check for them. The prefix is F_sk(r0 ‖ 0^64), so a new
+// prefix means a new r0.
+func (c *Codec) Reopen(prefix []byte, windows []blockdoc.Window, trailer []byte) ([]*blockdoc.Block, error) {
+	if prefix != nil {
+		return nil, blockdoc.ErrNotSuccessor
+	}
+	if len(trailer) != 0 {
+		return nil, fmt.Errorf("%w: unexpected trailer", blockdoc.ErrCorrupt)
+	}
+	var records [][]byte
+	for _, win := range windows {
+		records = append(records, win.Records...)
+	}
+	return c.open(records, c.snapshotR0())
+}

@@ -22,6 +22,7 @@ package rpcmode
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"privedit/internal/blockdoc"
@@ -309,73 +310,123 @@ func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.B
 
 // DecryptAll implements blockdoc.Codec, performing the full integrity
 // verification: start marker, nonce ring closure, per-block structure,
-// and the checksum block including the document length.
+// and the checksum block including the document length. It is Reopen's
+// check on a fresh ring, with every record in one window.
 func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*blockdoc.Block, error) {
-	if len(prefix) != prefixBytes {
-		return nil, fmt.Errorf("%w: prefix of %d bytes", blockdoc.ErrCorrupt, len(prefix))
-	}
-	f0, f1, f2, f3, err := c.openRecord(prefix)
-	if err != nil {
-		return nil, err
-	}
-	typ, cnt, rest := unpackMeta(f2)
-	if typ != typeStart || cnt != 0 || rest != 0 || f1 != crypt.Uint64(alpha[:]) {
-		return nil, fmt.Errorf("%w: malformed start block", blockdoc.ErrIntegrity)
-	}
-	var st ringState
-	st.r0 = f0
-	expected := f3
-	n := len(records)
+	return c.verify(nil, prefix, []blockdoc.Window{{Records: records}}, trailer)
+}
 
-	// Opening the records — the wide-PRP inversion, one tile at a time — is
-	// the expensive step. The records are copied into the retained arena,
-	// and a second copy is decrypted in pts, where the ring verification
-	// reads the fields. That verification is inherently sequential (each
-	// record's nonce must equal the previous record's next pointer).
-	a := newArena(n)
-	for i, rec := range records {
-		if len(rec) != recordBytes {
-			return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
-		}
-		copy(a.rec(i), rec)
+// Reopen implements blockdoc.Codec: the verify dual of Splice. The held
+// container passed DecryptAll's check, and the records outside the
+// windows are byte-identical and in order, so they still open to the same
+// well-formed fields and still link to each other. What is left of the
+// check is each window record's structure and every chain link that
+// touches a window: in from the surviving predecessor (or a new start
+// block) and out to the surviving successor (or back to r0). The
+// predecessor need not be opened: by the held container's check its next
+// pointer names the first removed block, or the successor when none was
+// removed. The checksum block must then match the aggregates with the
+// removed blocks XOR-ed out and the window records XOR-ed in.
+func (c *Codec) Reopen(prefix []byte, windows []blockdoc.Window, trailer []byte) ([]*blockdoc.Block, error) {
+	held := c.snapshot()
+	return c.verify(&held, prefix, windows, trailer)
+}
+
+// verify is the Dec kernel. It opens the windows' records against held,
+// the ring state of the held container (nil for a fresh ring, whose r0
+// the start block gives), and publishes the new state once every check
+// passes. Opening the records — the wide-PRP inversion, one tile at a
+// time — is the expensive step. Each window's records are copied into a
+// retained arena, and a second copy is decrypted in pts, where the ring
+// verification reads the fields. That verification is inherently
+// sequential: each record's nonce must equal the previous next pointer.
+func (c *Codec) verify(held *ringState, prefix []byte, windows []blockdoc.Window, trailer []byte) ([]*blockdoc.Block, error) {
+	var st ringState
+	var head uint64
+	if held != nil {
+		st = *held
 	}
-	pts := make([]byte, n*recordBytes)
-	copy(pts, a.recs)
-	for tile := 0; tile < n; tile += wideRunBlocks {
-		end := min(tile+wideRunBlocks, n)
-		if err := c.wide.DecryptRun(pts[tile*recordBytes : end*recordBytes]); err != nil {
+	if prefix != nil || held == nil {
+		if len(prefix) != prefixBytes {
+			return nil, fmt.Errorf("%w: prefix of %d bytes", blockdoc.ErrCorrupt, len(prefix))
+		}
+		f0, f1, f2, f3, err := c.openRecord(prefix)
+		if err != nil {
 			return nil, err
 		}
+		typ, cnt, rest := unpackMeta(f2)
+		if typ != typeStart || cnt != 0 || rest != 0 || f1 != crypt.Uint64(alpha[:]) {
+			return nil, fmt.Errorf("%w: malformed start block", blockdoc.ErrIntegrity)
+		}
+		if held == nil {
+			st = ringState{r0: f0, xorAllR: f0}
+		} else if f0 != st.r0 {
+			return nil, blockdoc.ErrNotSuccessor
+		}
+		head = f3
 	}
-
-	st.xorAllR = st.r0
-	blocks := make([]*blockdoc.Block, n)
-	for i := 0; i < n; i++ {
-		pt := pts[i*recordBytes : (i+1)*recordBytes]
-		ri := crypt.Uint64(pt[0:8])
-		d := crypt.Uint64(pt[8:16])
-		typ, count, rest := unpackMeta(crypt.Uint64(pt[16:24]))
-		next := crypt.Uint64(pt[24:32])
-		if typ != typeData || rest != 0 || count < 1 || count > maxChars {
-			return nil, fmt.Errorf("%w: record %d malformed", blockdoc.ErrIntegrity, i)
+	var added []*blockdoc.Block
+	for w, win := range windows {
+		target := st.r0
+		if win.Right != nil {
+			target = win.Right.Nonce
 		}
-		if ri != expected {
-			return nil, fmt.Errorf("%w: record %d breaks the nonce chain", blockdoc.ErrIntegrity, i)
+		expected := target
+		if len(win.Removed) > 0 {
+			expected = win.Removed[0].Nonce
 		}
-		if !bytes.Equal(pt[8+count:16], zeroPad[:8-count]) {
-			return nil, fmt.Errorf("%w: record %d has nonzero padding", blockdoc.ErrIntegrity, i)
+		if w == 0 && prefix != nil {
+			expected = head
 		}
-		chars := a.charSlot(i, count)
-		copy(chars, pt[8:8+count])
-		a.slab[i] = blockdoc.Block{Chars: chars, Record: a.rec(i), Nonce: ri}
-		blocks[i] = &a.slab[i]
-		st.xorAllR ^= ri
-		st.xorRTail ^= ri
-		st.xorD ^= d
-		expected = next
-	}
-	if expected != st.r0 {
-		return nil, fmt.Errorf("%w: nonce ring does not close", blockdoc.ErrIntegrity)
+		for _, b := range win.Removed {
+			st.xorAllR ^= b.Nonce
+			st.xorRTail ^= b.Nonce
+			st.xorD ^= padChars(b.Chars)
+		}
+		n := len(win.Records)
+		st.count += uint64(n) - uint64(len(win.Removed))
+		added = slices.Grow(added, n)
+		a := newArena(n)
+		for i, rec := range win.Records {
+			if len(rec) != recordBytes {
+				return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
+			}
+			copy(a.rec(i), rec)
+		}
+		pts := make([]byte, n*recordBytes)
+		copy(pts, a.recs)
+		for tile := 0; tile < n; tile += wideRunBlocks {
+			end := min(tile+wideRunBlocks, n)
+			if err := c.wide.DecryptRun(pts[tile*recordBytes : end*recordBytes]); err != nil {
+				return nil, err
+			}
+		}
+		for i := 0; i < n; i++ {
+			pt := pts[i*recordBytes : (i+1)*recordBytes]
+			ri := crypt.Uint64(pt[0:8])
+			d := crypt.Uint64(pt[8:16])
+			typ, count, rest := unpackMeta(crypt.Uint64(pt[16:24]))
+			if typ != typeData || rest != 0 || count < 1 || count > maxChars {
+				return nil, fmt.Errorf("%w: record %d malformed", blockdoc.ErrIntegrity, i)
+			}
+			if ri != expected {
+				return nil, fmt.Errorf("%w: record %d breaks the nonce chain", blockdoc.ErrIntegrity, i)
+			}
+			if !bytes.Equal(pt[8+count:16], zeroPad[:8-count]) {
+				return nil, fmt.Errorf("%w: record %d has nonzero padding", blockdoc.ErrIntegrity, i)
+			}
+			chars := a.charSlot(i, count)
+			copy(chars, pt[8:8+count])
+			a.slab[i] = blockdoc.Block{Chars: chars, Record: a.rec(i), Nonce: ri}
+			added = append(added, &a.slab[i])
+			st.xorAllR ^= ri
+			st.xorRTail ^= ri
+			st.xorD ^= d
+			expected = crypt.Uint64(pt[24:32])
+		}
+		if expected != target {
+			return nil, fmt.Errorf("%w: nonce ring does not close after window %d", blockdoc.ErrIntegrity, w)
+		}
 	}
 	if trailer == nil {
 		return nil, fmt.Errorf("%w: missing checksum block", blockdoc.ErrIntegrity)
@@ -384,13 +435,11 @@ func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*
 	if err != nil {
 		return nil, err
 	}
-	if t0 != st.xorAllR || t1 != st.xorD || t2 != uint64(n) || t3 != st.xorRTail {
+	if t0 != st.xorAllR || t1 != st.xorD || t2 != st.count || t3 != st.xorRTail {
 		return nil, fmt.Errorf("%w: checksum block mismatch", blockdoc.ErrIntegrity)
 	}
-
-	st.count = uint64(n)
 	c.publish(st)
-	return blocks, nil
+	return added, nil
 }
 
 // zeroPad backs the constant zero-padding comparisons of the verify pass.

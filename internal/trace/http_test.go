@@ -17,8 +17,8 @@ func TestHeaderConstantPinned(t *testing.T) {
 
 func TestParseHeader(t *testing.T) {
 	cases := []struct {
-		in      string
-		ok      bool
+		in       string
+		ok       bool
 		tid, sid string
 	}{
 		{"00000000000000ab-00000000000000cd", true, "00000000000000ab", "00000000000000cd"},

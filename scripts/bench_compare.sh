@@ -16,6 +16,16 @@
 # run is not correct, or when the share of failed operations rises. A
 # workload missing from either directory is skipped, and with nothing to
 # compare the gate skips rather than fails.
+#
+# What one run per workload can catch: only gross regressions. Runs of
+# the same commit spread widely on a small shared host. Over ten
+# alternating pairs of 20 s runs on 2 vCPUs (go1.24), the baseline's
+# interquartile range was 21-40% of the median for setup_s, 56% for
+# typing's local_ack_p90_ms and 103% for its durable_ack_p90_ms, against
+# 25% bounds. A performance claim needs at least ten alternating
+# baseline/current pairs: the change must win nine in ten, and its
+# median must differ from the baseline's by more than the baseline's
+# interquartile range.
 set -eu
 
 BASE="${1:?usage: bench_compare.sh <baseline_dir> <current_dir>}"
