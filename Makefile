@@ -12,22 +12,22 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the crypto & concurrency invariant
+# Project-specific static analysis: the crypto and plaintext-boundary
 # suite (internal/lint), including the interprocedural plaintext-flow
-# taint rule. Run `go run ./cmd/privedit-lint -rules` for the rule list;
-# suppress with `//lint:ignore RULE reason`. First, a formatting gate:
-# gofmt must list nothing outside internal/lint/testdata, whose fixtures
-# are kept as written.
+# taint rule; lock copies and t.Fatal in goroutines are vet's. Run
+# `go run ./cmd/privedit-lint -rules` for the rule list; suppress with
+# `//lint:ignore RULE reason`. First, a formatting gate: gofmt must list
+# nothing outside the two directive fixtures, where gofmt would reorder
+# the directive comments under test.
 lint:
-	@unformatted=$$(gofmt -l *.go cmd examples internal editbench | grep -v '^internal/lint/testdata/'); \
+	@unformatted=$$(gofmt -l *.go cmd examples internal editbench | grep -v -e '^internal/lint/testdata/directive/' -e '^internal/lint/testdata/taintdirective/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/privedit-lint ./...
 
 # Taint-analysis cost gate: run only the whole-module taint pass, print
-# its size/cost statistics (functions, fixpoint passes, derived
-# plaintext-reachable package set), and fail if the wall time blows the
-# 30s CI budget — a complexity regression in the fixpoint must show up
-# as a red check, not a slow one.
+# its size/cost statistics (functions, fixpoint passes, findings), and
+# fail if the wall time blows the 30s CI budget — a complexity
+# regression in the fixpoint must show up as a red check, not a slow one.
 taint-smoke:
 	$(GO) run ./cmd/privedit-lint -taint
 

@@ -23,7 +23,6 @@ type ignoreDirective struct {
 	Reason string
 	File   string
 	Line   int
-	used   bool
 }
 
 // ParseIgnoreDirective parses the text of a line comment (with the

@@ -15,7 +15,7 @@ func TestParseIgnoreDirective(t *testing.T) {
 		errPart string // "" = ok, "not" = ErrNotDirective, else substring of the error
 	}{
 		{"lint:ignore nonce-source seeded workload generator", []string{"nonce-source"}, "seeded workload generator", ""},
-		{" lint:ignore mutex-by-value copy is of a never-locked snapshot", []string{"mutex-by-value"}, "copy is of a never-locked snapshot", ""},
+		{" lint:ignore ctx-first signature is fixed by net/http", []string{"ctx-first"}, "signature is fixed by net/http", ""},
 		{"lint:ignore a,b two rules at once", []string{"a", "b"}, "two rules at once", ""},
 		{"lint:ignore metric-name  extra   spaces survive in the reason", []string{"metric-name"}, "extra   spaces survive in the reason", ""},
 		{"just a comment", nil, "", "not"},

@@ -1,10 +1,12 @@
 // Package lint is privedit's project-specific static-analysis suite. It
 // machine-checks the invariants the paper's security argument (§V-A/§V-B)
-// relies on but the compiler cannot see: where randomness may come from,
-// where plaintext may flow, how server-facing APIs thread context and
-// locks, and how the telemetry namespace is spelled. The driver in
-// cmd/privedit-lint loads the whole module with go/parser + go/types and
-// runs every analyzer, failing the build on any unsuppressed diagnostic.
+// relies on but neither the compiler nor go vet can see: where randomness
+// may come from, where plaintext may flow, how server-facing APIs thread
+// context, and how the telemetry namespace is spelled. Concurrency
+// mistakes vet already catches (copied locks, t.Fatal from a goroutine)
+// are left to `make vet`. The driver in cmd/privedit-lint loads the whole
+// module with go/parser + go/types and runs every analyzer, failing the
+// build on any unsuppressed diagnostic.
 package lint
 
 import (
@@ -47,18 +49,16 @@ type Analyzer struct {
 // Analyzers is the full suite, in the order diagnostics are grouped.
 var Analyzers = []*Analyzer{
 	NonceSource,
-	PlaintextLog,
 	PlaintextFlow,
 	CtxFirst,
-	GoroutineTestFatal,
-	MutexByValue,
 	MetricName,
 	SpanName,
 	DeprecatedAPI,
 }
 
 // DirectiveRule is the pseudo-rule under which malformed //lint:ignore
-// comments are reported. It cannot itself be suppressed.
+// comments, and those naming a rule outside Analyzers, are reported. It
+// cannot itself be suppressed.
 const DirectiveRule = "directive"
 
 // Run executes the given analyzers over every analysis unit of the
@@ -109,7 +109,6 @@ func (m *Module) RunUnit(u *Unit, analyzers []*Analyzer) []Diagnostic {
 				if r == d.Rule {
 					d.Suppressed = true
 					d.Reason = dir.Reason
-					dir.used = true
 				}
 			}
 		}
@@ -130,10 +129,23 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 }
 
 // collectDirectives parses every //lint: comment in the unit, returning
-// the well-formed directives plus diagnostics for malformed ones.
+// the well-formed directives plus diagnostics for malformed ones and for
+// rule names outside the full suite. The check is against Analyzers even
+// when RunUnit runs a subset: a directive naming a retired or misspelled
+// rule would otherwise suppress nothing, silently.
 func (m *Module) collectDirectives(u *Unit) ([]*ignoreDirective, []Diagnostic) {
 	var dirs []*ignoreDirective
 	var diags []Diagnostic
+	bad := func(p token.Position, msg string) {
+		diags = append(diags, Diagnostic{
+			Rule:    DirectiveRule,
+			Pos:     p,
+			File:    m.relFile(p.Filename),
+			Line:    p.Line,
+			Col:     p.Column,
+			Message: msg,
+		})
+	}
 	for _, f := range u.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -146,29 +158,20 @@ func (m *Module) collectDirectives(u *Unit) ([]*ignoreDirective, []Diagnostic) {
 				// typo'd annotation must never silently change the taint
 				// verdict.
 				if _, _, terr := taint.ParseTaintDirective(text); terr != nil && terr != taint.ErrNotDirective {
-					diags = append(diags, Diagnostic{
-						Rule:    DirectiveRule,
-						Pos:     p,
-						File:    m.relFile(p.Filename),
-						Line:    p.Line,
-						Col:     p.Column,
-						Message: terr.Error(),
-					})
+					bad(p, terr.Error())
 					continue
 				}
 				rules, reason, err := ParseIgnoreDirective(text)
 				if err != nil {
 					if err != ErrNotDirective {
-						diags = append(diags, Diagnostic{
-							Rule:    DirectiveRule,
-							Pos:     p,
-							File:    m.relFile(p.Filename),
-							Line:    p.Line,
-							Col:     p.Column,
-							Message: err.Error(),
-						})
+						bad(p, err.Error())
 					}
 					continue
+				}
+				for _, r := range rules {
+					if !knownRule(r) {
+						bad(p, "//lint:ignore names unknown rule "+quoteTrunc(r)+" (see privedit-lint -rules)")
+					}
 				}
 				dirs = append(dirs, &ignoreDirective{
 					Rules:  rules,
@@ -180,6 +183,16 @@ func (m *Module) collectDirectives(u *Unit) ([]*ignoreDirective, []Diagnostic) {
 		}
 	}
 	return dirs, diags
+}
+
+// knownRule reports whether name is a rule of the full suite.
+func knownRule(name string) bool {
+	for _, a := range Analyzers {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // relFile makes a file path module-relative for stable output.

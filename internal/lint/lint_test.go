@@ -109,39 +109,6 @@ func TestModuleCleanTaint(t *testing.T) {
 	}
 }
 
-// TestPlaintextPkgsDerived pins the no-plaintext-log package set as
-// machine-derived: packages that only receive ciphertext or metadata
-// must stay out, and packages the analysis proves to receive plaintext
-// must be in — even when nobody added them to the hand-written seeds.
-func TestPlaintextPkgsDerived(t *testing.T) {
-	m := loadTestModule(t)
-	pkgs := m.PlaintextPkgs()
-	// Derived members: none of these are in plaintextSeedPkgs; they are in
-	// the set only because the taint analysis proves plaintext reaches
-	// them. This is the drift hazard the derivation closes.
-	for _, p := range []string{"internal/bespin", "internal/buzzword", "internal/blockdoc"} {
-		if seed := plaintextSeedPkgs[p]; seed {
-			t.Errorf("%s is hand-seeded; this test needs it derived", p)
-		}
-		if !pkgs[p] {
-			t.Errorf("PlaintextPkgs() is missing %s, which demonstrably handles decrypted bytes", p)
-		}
-	}
-	// The seeds themselves must survive the union.
-	for p := range plaintextSeedPkgs {
-		if !pkgs[p] {
-			t.Errorf("PlaintextPkgs() dropped seed package %s", p)
-		}
-	}
-	// Observability and tooling packages carry only ciphertext sizes,
-	// names, and timings; pulling them in would ban all their logging.
-	for _, p := range []string{"internal/obs", "internal/trace", "internal/netsim", "internal/lint"} {
-		if pkgs[p] {
-			t.Errorf("PlaintextPkgs() wrongly includes %s: no plaintext reaches it", p)
-		}
-	}
-}
-
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -164,17 +131,15 @@ func TestFixtures(t *testing.T) {
 	}{
 		{"noncesource", "privedit/internal/fixture"},
 		{"cryptok", "privedit/internal/crypt"},
-		{"plaintextlog", "privedit/internal/core"},
 		{"ctxfirst", "privedit/internal/fixture"},
 		{"ctxcontract", "privedit/internal/gdocs"},
-		{"gofatal", "privedit/internal/fixture"},
-		{"mutexcopy", "privedit/internal/fixture"},
 		{"metricname", "privedit/internal/fixture"},
 		{"spanname", "privedit/internal/fixture"},
 		{"deprecated", "privedit/internal/fixture"},
 		{"directive", "privedit/internal/fixture"},
 		{"taintflow", "privedit/internal/fixture"},
 		{"taintdirective", "privedit/internal/fixture"},
+		{"cmdprint", "privedit/cmd/fixture"},
 	}
 	m := loadTestModule(t)
 	for _, fx := range fixtures {

@@ -1,9 +1,8 @@
 // The plaintext-flow rule: the interprocedural taint analysis in
 // internal/lint/taint, adapted to the lint driver. One whole-module
-// analysis run is shared by every unit (and by the derived
-// plaintext-package set of no-plaintext-log); findings are attributed to
-// the unit that owns the sink's file so suppression and sorting behave
-// like any other rule.
+// analysis run is shared by every unit; findings are attributed to the
+// unit that owns the sink's file so suppression and sorting behave like
+// any other rule.
 package lint
 
 import (
@@ -11,11 +10,12 @@ import (
 )
 
 // PlaintextFlow is the taint-flow rule: decrypted plaintext must never
-// reach an untrusted-server or auxiliary-channel sink. Each finding
+// reach an untrusted-server or auxiliary-channel sink, which includes
+// stdout, stderr and the process log in internal/ packages. Each finding
 // carries the complete source→sink path, every hop with file:line.
 var PlaintextFlow = &Analyzer{
 	Name: "plaintext-flow",
-	Doc:  "decrypted plaintext must not flow to network, trace, metric, or escaping-error sinks",
+	Doc:  "decrypted plaintext must not flow to network, trace, metric, log/stdout, or escaping-error sinks",
 	Run:  runPlaintextFlow,
 }
 
@@ -71,44 +71,4 @@ func (m *Module) isModuleUnit(u *Unit) bool {
 		}
 	}
 	return false
-}
-
-// PlaintextPkgs is the effective plaintext-bearing package set used by
-// no-plaintext-log: the hand-written seed packages plus every internal
-// package the taint analysis proves to receive plaintext. Keys are
-// module-relative ("internal/core"). Deriving the set from reachability
-// is what closes the drift hazard: a new package that starts handling
-// decrypted bytes is banned from logging without anyone editing a list.
-func (m *Module) PlaintextPkgs() map[string]bool {
-	out := make(map[string]bool, len(plaintextSeedPkgs))
-	for p := range plaintextSeedPkgs {
-		out[p] = true
-	}
-	for path := range m.TaintResult().ReachablePkgs {
-		rel := path
-		if r, ok := cutPathPrefix(path, m.Path); ok {
-			rel = r
-		}
-		// Only internal packages: cmd/ and examples/ run on the trusted
-		// client and legitimately display plaintext to the local user.
-		if rel == "internal" || hasPathPrefix(rel, "internal") {
-			out[rel] = true
-		}
-	}
-	return out
-}
-
-func cutPathPrefix(path, prefix string) (string, bool) {
-	if path == prefix {
-		return "", true
-	}
-	if len(path) > len(prefix) && path[:len(prefix)] == prefix && path[len(prefix)] == '/' {
-		return path[len(prefix)+1:], true
-	}
-	return path, false
-}
-
-func hasPathPrefix(path, prefix string) bool {
-	_, ok := cutPathPrefix(path, prefix)
-	return ok
 }

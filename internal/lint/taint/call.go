@@ -112,11 +112,6 @@ func (ec *evalCtx) evalCall(call *ast.CallExpr) []*val {
 		ec.applySourceSpec(spec, call, results)
 	}
 
-	// Track hand-off of taint for reachability, per callee input:
-	// concrete taint marks the callee directly; input-conditioned taint
-	// becomes a forward edge resolved by the reachability closure.
-	ec.trackHandoff(fn, inputVals)
-
 	// 3. Sanitizer: outputs are sanctioned ciphertext. Sinks reached
 	// inside the sanitizer body are still honored (a sanitizer must not
 	// trace or ship its plaintext input), but no taint flows out.
@@ -147,7 +142,6 @@ func (ec *evalCtx) evalCall(call *ast.CallExpr) []*val {
 				ec.applySummarySinks(impl, call, inputVals)
 				continue
 			}
-			ec.trackHandoff(impl.fn, inputVals)
 			ec.applySummary(impl, call, inputVals, inputExprs, results)
 		}
 		return results
@@ -179,6 +173,10 @@ var contentFormatters = map[string]bool{
 
 // applySinkSpec fires a spec'd sink for each tainted argument position.
 func (ec *evalCtx) applySinkSpec(spec *sinkSpec, fn *types.Func, sig *types.Signature, call *ast.CallExpr, argVals []*val) {
+	if spec.internalOnly && !ec.fi.inInternalPkg() ||
+		spec.stdStream && !isStdStream(ec.info(), call.Args[0]) {
+		return
+	}
 	params := append([]int(nil), spec.params...)
 	if spec.variadic && sig != nil && sig.Variadic() {
 		for i := sig.Params().Len() - 1; i < len(call.Args); i++ {
@@ -191,6 +189,16 @@ func (ec *evalCtx) applySinkSpec(spec *sinkSpec, fn *types.Func, sig *types.Sign
 		}
 		ec.fireSink(spec.desc, call.Args[p].Pos(), fn, argVals[p])
 	}
+}
+
+// isStdStream reports whether e names os.Stdout or os.Stderr.
+func isStdStream(info *types.Info, e ast.Expr) bool {
+	sel, ok := unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	v, ok := info.Uses[sel.Sel].(*types.Var)
+	return ok && v.Pkg() != nil && v.Pkg().Path() == "os" && (v.Name() == "Stdout" || v.Name() == "Stderr")
 }
 
 // fireSink reports (concrete taint) or records (symbolic taint) a sink
@@ -233,28 +241,6 @@ func (ec *evalCtx) applySourceSpec(spec *sourceSpec, call *ast.CallExpr, results
 			ec.assignValTo(call.Args[p], src)
 		}
 	}
-	ec.a.markTainted(ec.fi.fn, -1)
-}
-
-// trackHandoff records taint reaching a callee's inputs for the
-// reachable-package derivation: concrete origins mark the (callee, input)
-// pair immediately; input-conditioned origins become forward edges from
-// the caller's input to the callee's, so the closure only follows them
-// when that caller input actually carries plaintext.
-func (ec *evalCtx) trackHandoff(fn *types.Func, inputVals []*val) {
-	inModule := ec.a.funcs[fn] != nil
-	for i, v := range inputVals {
-		if v == nil {
-			continue
-		}
-		for _, o := range coverOrigins(v, "") {
-			if o.input == -1 {
-				ec.a.markTainted(fn, i)
-			} else if inModule {
-				ec.fi.sum.forwards[fwdEdge{callee: fn, calleeIdx: i, callerIdx: o.input}] = true
-			}
-		}
-	}
 }
 
 // applySummary composes a callee summary into the caller: result taints,
@@ -295,7 +281,6 @@ func (ec *evalCtx) applySummary(callee *funcInfo, call *ast.CallExpr, inputVals 
 					o.steps = o.steps[:maxStepsPerPath]
 				}
 				out.addOrigin(o)
-				ec.a.markTainted(ec.fi.fn, -1)
 				continue
 			}
 			if cond.input < 0 || cond.input >= len(inputVals) {

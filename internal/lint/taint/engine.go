@@ -62,35 +62,17 @@ type condSink struct {
 	steps []Step
 }
 
-// fwdEdge is one conditional taint hand-off: if the enclosing function's
-// input callerIdx is tainted, the callee's input calleeIdx receives it.
-// Tracking the indices (rather than just "some argument was input-
-// derived") keeps the reachable-package set honest: a helper that takes
-// plaintext in one parameter and a metric name in another does not drag
-// the metrics package into the plaintext-bearing set.
-type fwdEdge struct {
-	callee    *types.Func
-	calleeIdx int
-	callerIdx int
-}
-
 // summary is one function's interprocedural behavior.
 type summary struct {
 	numResults int
-	numInputs  int
 	flows      map[sumKey]map[flowCond]*flowTmpl
 	sinks      []*condSink
-	// forwards records which callee inputs receive which of this
-	// function's inputs, for the reachable-package derivation.
-	forwards map[fwdEdge]bool
 }
 
-func newSummary(numResults, numInputs int) *summary {
+func newSummary(numResults int) *summary {
 	return &summary{
 		numResults: numResults,
-		numInputs:  numInputs,
 		flows:      make(map[sumKey]map[flowCond]*flowTmpl),
-		forwards:   make(map[fwdEdge]bool),
 	}
 }
 
@@ -153,13 +135,8 @@ type analyzer struct {
 	// is only resolved for interfaces defined in one of them.
 	analyzedPkgs map[*types.Package]bool
 
-	findings  []Finding
-	seen      map[findingKey]bool
-	reachable map[string]bool
-	// taintedCallees accumulates which function inputs were observed to
-	// receive concrete (source-rooted) taint, for the reachability
-	// closure. Index -1 means the taint originates inside the body.
-	taintedCallees map[*types.Func]map[int]bool
+	findings []Finding
+	seen     map[findingKey]bool
 
 	changed bool // set when any summary grows during a pass
 	passes  int
@@ -172,14 +149,12 @@ type findingKey struct {
 
 func newAnalyzer(fset *token.FileSet, pkgs []*Package) *analyzer {
 	a := &analyzer{
-		fset:           fset,
-		pkgs:           pkgs,
-		funcs:          make(map[*types.Func]*funcInfo),
-		ifaceImpls:     make(map[*types.Func][]*funcInfo),
-		seen:           make(map[findingKey]bool),
-		reachable:      make(map[string]bool),
-		taintedCallees: make(map[*types.Func]map[int]bool),
-		analyzedPkgs:   make(map[*types.Package]bool),
+		fset:         fset,
+		pkgs:         pkgs,
+		funcs:        make(map[*types.Func]*funcInfo),
+		ifaceImpls:   make(map[*types.Func][]*funcInfo),
+		seen:         make(map[findingKey]bool),
+		analyzedPkgs: make(map[*types.Package]bool),
 	}
 	for _, p := range pkgs {
 		if p.Pkg != nil {
@@ -218,7 +193,7 @@ func (a *analyzer) buildRegistry() {
 				for i := 0; i < sig.Results().Len(); i++ {
 					fi.results = append(fi.results, sig.Results().At(i))
 				}
-				fi.sum = newSummary(len(fi.results), len(fi.inputs))
+				fi.sum = newSummary(len(fi.results))
 				a.funcs[obj] = fi
 				a.ordered = append(a.ordered, fi)
 			}
@@ -256,7 +231,6 @@ func (a *analyzer) run() {
 			break
 		}
 	}
-	a.computeReachability()
 	sort.Slice(a.findings, func(i, j int) bool {
 		fi, fj := a.findings[i], a.findings[j]
 		if fi.Pos != fj.Pos {
@@ -271,10 +245,9 @@ func (a *analyzer) run() {
 
 func (a *analyzer) result() *Result {
 	return &Result{
-		Findings:      a.findings,
-		ReachablePkgs: a.reachable,
-		Functions:     len(a.ordered),
-		Passes:        a.passes,
+		Findings:  a.findings,
+		Functions: len(a.ordered),
+		Passes:    a.passes,
 	}
 }
 
@@ -292,59 +265,6 @@ func (a *analyzer) report(sinkDesc string, sinkPos token.Pos, steps []Step) {
 	}
 	a.seen[key] = true
 	a.findings = append(a.findings, Finding{Sink: sinkDesc, Pos: sinkPos, Steps: steps})
-}
-
-// markTainted notes that fn's input idx (or, for idx -1, fn's own body)
-// holds concrete taint.
-func (a *analyzer) markTainted(fn *types.Func, idx int) {
-	if fn == nil {
-		return
-	}
-	if a.taintedCallees[fn] == nil {
-		a.taintedCallees[fn] = make(map[int]bool)
-	}
-	a.taintedCallees[fn][idx] = true
-}
-
-// computeReachability derives the plaintext-bearing package set: packages
-// whose functions hold source-rooted taint, plus the closure over the
-// per-input forward edges — a callee input joins the worklist only when
-// the specific caller input feeding it is itself tainted. The result is
-// a set of package paths, so worklist order does not affect the output.
-func (a *analyzer) computeReachability() {
-	type node struct {
-		fn  *types.Func
-		idx int
-	}
-	var queue []node
-	seen := make(map[node]bool)
-	push := func(n node) {
-		if !seen[n] {
-			seen[n] = true
-			queue = append(queue, n)
-		}
-	}
-	for fn, idxs := range a.taintedCallees {
-		for idx := range idxs {
-			push(node{fn, idx})
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n.fn.Pkg() != nil {
-			a.reachable[n.fn.Pkg().Path()] = true
-		}
-		fi := a.funcs[n.fn]
-		if fi == nil {
-			continue
-		}
-		for e := range fi.sum.forwards {
-			if e.callerIdx == n.idx {
-				push(node{e.callee, e.calleeIdx})
-			}
-		}
-	}
 }
 
 // implementations resolves an interface method to the in-scope concrete

@@ -296,9 +296,12 @@ func (ec *evalCtx) recordResultFlows(idx int, v *val, pos token.Pos) {
 }
 
 func (fi *funcInfo) errorEscapeApplies() bool {
-	if fi.verb == VerbSanitizer || !fi.fn.Exported() {
-		return false
-	}
+	return fi.verb != VerbSanitizer && fi.fn.Exported() && fi.inInternalPkg()
+}
+
+// inInternalPkg reports whether fi lives in library code: a package under
+// an internal/ directory.
+func (fi *funcInfo) inInternalPkg() bool {
 	p := fi.pkg.Path
 	return strings.HasPrefix(p, "internal/") || strings.Contains(p, "/internal/")
 }
@@ -574,7 +577,6 @@ func (ec *evalCtx) evalSelector(x *ast.SelectorExpr) *val {
 		if fv, ok := sel.Obj().(*types.Var); ok && ec.a.annots.fields[fv] {
 			src := Step{Pos: x.Pos(), Note: "source: read of //taint:source field " + fieldDisplay(fv)}
 			out.whole, _ = mergeFacts(out.whole, &fact{origins: []origin{{input: -1, steps: []Step{src}}}})
-			ec.a.markTainted(ec.fi.fn, -1)
 		}
 		if out.isClean() && out.bound == nil {
 			return nil

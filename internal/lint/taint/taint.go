@@ -4,7 +4,8 @@
 // boundary. Everything that reaches the cloud — transport request bodies,
 // the gdocs/bespin/buzzword client call surfaces — and every unencrypted
 // auxiliary channel — trace annotations, span names, metric labels, error
-// strings escaping exported APIs — is a sink; the outputs of the
+// strings escaping exported APIs, and stdout/stderr/log output from
+// internal/ packages — is a sink; the outputs of the
 // decryption kernels and every struct field annotated //taint:source are
 // sources; the encrypt-then-encode commit path is declared sanctioned
 // with //taint:sanitizer annotations. The engine computes per-function
@@ -64,10 +65,6 @@ type Finding struct {
 // Result is the outcome of one Analyze call.
 type Result struct {
 	Findings []Finding
-	// ReachablePkgs is the set of package paths (as given in Package.Path)
-	// where source-rooted taint was observed or into which tainted values
-	// were passed: the machine-derived "plaintext-bearing package" set.
-	ReachablePkgs map[string]bool
 	// Functions is the number of function bodies analyzed, Passes the
 	// number of global fixpoint passes (diagnostics for the CI budget).
 	Functions int
@@ -86,6 +83,13 @@ type sinkSpec struct {
 	desc     string
 	params   []int // parameter indices that are sinks
 	variadic bool  // the trailing variadic parameter is a sink too
+	// internalOnly confines the sink to call sites in packages under an
+	// internal/ directory. Programs in cmd/ and examples/ run on the
+	// trusted client and may show plaintext to their own user.
+	internalOnly bool
+	// stdStream makes the sink fire only when argument 0 is os.Stdout or
+	// os.Stderr: fmt.Fprint* into any other writer is not process output.
+	stdStream bool
 }
 
 // builtinSources are the decryption kernels of the scheme: the Dec
@@ -134,6 +138,31 @@ var builtinSinks = map[string]*sinkSpec{
 	"privedit/internal/obs.Registry.NewCounter": {desc: "metric name/label", params: []int{0}, variadic: true},
 	"privedit/internal/obs.Registry.NewGauge":   {desc: "metric name/label", params: []int{0}, variadic: true},
 	"privedit/internal/obs.Registry.Exemplar":   {desc: "metric name/label", params: []int{0}, variadic: true},
+}
+
+// Process output — stdout, stderr and the process log — is an unencrypted
+// auxiliary channel as well, but only in library code (internalOnly).
+func init() {
+	// out builds the spec for one print function: every variadic operand
+	// is a sink, and so is the format string of the f-forms.
+	out := func(desc string, format bool, formatIdx int, stdStream bool) *sinkSpec {
+		spec := &sinkSpec{desc: desc, variadic: true, internalOnly: true, stdStream: stdStream}
+		if format {
+			spec.params = []int{formatIdx}
+		}
+		return spec
+	}
+	for _, suffix := range []string{"", "ln", "f"} {
+		format := suffix == "f"
+		builtinSinks["fmt.Print"+suffix] = out("stdout", format, 0, false)
+		builtinSinks["fmt.Fprint"+suffix] = out("stdout/stderr", format, 1, true)
+		for _, verb := range []string{"Print", "Fatal", "Panic"} {
+			builtinSinks["log."+verb+suffix] = out("process log", format, 0, false)
+			builtinSinks["log.Logger."+verb+suffix] = out("process log", format, 0, false)
+		}
+	}
+	builtinSinks["log.Output"] = &sinkSpec{desc: "process log", params: []int{1}, internalOnly: true}
+	builtinSinks["log.Logger.Output"] = &sinkSpec{desc: "process log", params: []int{1}, internalOnly: true}
 }
 
 // errorEscapeSink is the description used when a tainted error value is

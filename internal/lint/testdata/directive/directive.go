@@ -26,3 +26,7 @@ func e() {}
 
 //lint:ignore metric-name a well-formed directive that suppresses nothing is harmless
 func f() {}
+
+//lint:ignore mutex-by-value a rule that is not in the suite (go vet's copylocks checks this now)
+// want-above `names unknown rule "mutex-by-value"`
+func g() {}

@@ -7,9 +7,9 @@ import "privedit/internal/obs"
 // register exercises good and bad names against a private registry.
 func register(dynamic string) {
 	r := obs.NewRegistry()
-	r.NewCounter("bad_total", "missing prefix").Inc() // want `metric name "bad_total" must match privedit_<snake_case>`
+	r.NewCounter("bad_total", "missing prefix").Inc()   // want `metric name "bad_total" must match privedit_<snake_case>`
 	r.NewGauge("privedit_BadCase", "camel case").Set(1) // want `metric name "privedit_BadCase" must match privedit_<snake_case>`
-	r.NewCounter(dynamic, "computed name").Inc() // want `obs.NewCounter name must be a compile-time string constant`
+	r.NewCounter(dynamic, "computed name").Inc()        // want `obs.NewCounter name must be a compile-time string constant`
 	r.NewHistogram("privedit_fixture_seconds", "fine", nil).Observe(1)
 	r.NewCounter(okName, "constants resolve fine").Inc()
 }
@@ -40,6 +40,6 @@ func registerResilience() {
 	obs.NewCounter("privedit_mediator_drains_total", "replays").Inc()
 
 	// Near-misses around the new families must still be caught.
-	obs.NewCounter("netsim_faults_total", "missing prefix") // want `metric name "netsim_faults_total" must match privedit_<snake_case>`
+	obs.NewCounter("netsim_faults_total", "missing prefix")               // want `metric name "netsim_faults_total" must match privedit_<snake_case>`
 	obs.NewCounter("privedit_mediator_retryAttempts_total", "camel case") // want `metric name "privedit_mediator_retryAttempts_total" must match privedit_<snake_case>`
 }

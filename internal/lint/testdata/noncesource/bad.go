@@ -3,7 +3,7 @@
 package fixture
 
 import (
-	"crypto/rand" // want `import of crypto/rand outside internal/crypt`
+	"crypto/rand"     // want `import of crypto/rand outside internal/crypt`
 	mrand "math/rand" // want `import of math/rand: deterministic randomness is banned`
 )
 
