@@ -138,6 +138,7 @@ func TestFixtures(t *testing.T) {
 		{"deprecated", "privedit/internal/fixture"},
 		{"directive", "privedit/internal/fixture"},
 		{"taintflow", "privedit/internal/fixture"},
+		{"plaintextlog", "privedit/internal/fixture"},
 		{"taintdirective", "privedit/internal/fixture"},
 		{"cmdprint", "privedit/cmd/fixture"},
 	}
