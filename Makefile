@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTransformDelta -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzOpsAgainstReference -fuzztime=$(FUZZTIME) ./internal/skiplist/
 	$(GO) test -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) ./internal/diff/
+	$(GO) test -fuzz='^FuzzDecodeTransport$$' -fuzztime=$(FUZZTIME) ./internal/crypt/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/stego/
 	$(GO) test -fuzz=FuzzDirective -fuzztime=$(FUZZTIME) ./internal/lint/
 

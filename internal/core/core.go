@@ -37,7 +37,7 @@ var (
 	metricRekey = obs.NewHistogram("privedit_rekey_seconds",
 		"Password change (full re-encryption) latency in seconds.", obs.TimeBuckets)
 	metricOpen = obs.NewHistogram("privedit_core_open_seconds",
-		"Container open (Dec + integrity verification) latency in seconds.", obs.TimeBuckets)
+		"Keyed container open (key check, Dec + integrity verification; no key derivation) latency in seconds.", obs.TimeBuckets)
 )
 
 // Scheme selects the protection level, mirroring the prototype's dialog:
@@ -75,16 +75,17 @@ var (
 )
 
 // Options configures an Editor. It is the single options path shared by
-// every constructor-shaped entry point — NewEditor, OpenWith, DecryptWith,
-// and RekeyWith. It holds only what the container depends on: the scheme,
-// the block size and the nonce source. There is no kernel or performance
-// knob: every call runs the codec's one kernel on the caller's goroutine.
+// every constructor-shaped entry point — NewEditor, OpenWith, OpenWithKey,
+// DecryptWith, and RekeyWith. It holds only what the container depends
+// on: the scheme, the block size and the nonce source. There is no kernel
+// or performance knob: every call runs the codec's one kernel on the
+// caller's goroutine.
 type Options struct {
 	// Scheme selects rECB or RPC. Default: ConfidentialityIntegrity.
-	// Ignored by OpenWith/DecryptWith, which read it from the container.
+	// Ignored by the open paths, which read it from the container.
 	Scheme Scheme
 	// BlockChars is the b parameter (1..8). Default: DefaultBlockChars.
-	// Ignored by OpenWith/DecryptWith, which read it from the container.
+	// Ignored by the open paths, which read it from the container.
 	BlockChars int
 	// Nonces supplies block nonces and the document salt. Default:
 	// crypt.CryptoNonceSource{}. Override only in tests and reproducible
@@ -156,11 +157,24 @@ func NewEditor(password string, opts Options) (*Editor, error) {
 }
 
 // OpenWith restores the encryption state from an existing ciphertext
-// container (Dec): the scheme, block size, and salt are read from the
-// container header; the key is re-derived from the password and checked
-// before any decryption is attempted. Only opts.Nonces is consulted —
-// scheme and block size always come from the container.
+// container (Dec): the key is derived from the password and the salt in
+// the container header, then OpenWithKey checks it and decrypts. Only
+// opts.Nonces is consulted — scheme and block size always come from the
+// container.
 func OpenWith(password, transport string, opts Options) (*Editor, error) {
+	h, err := blockdoc.PeekHeader(transport)
+	if err != nil {
+		return nil, err
+	}
+	return OpenWithKey(crypt.DeriveDocumentKey(password, h.Salt[:]), transport, opts)
+}
+
+// OpenWithKey is OpenWith for a caller that already holds the document
+// key, crypt.DeriveDocumentKey of the password and the container's salt:
+// the scheme, block size, and salt are read from the container header,
+// and the key is checked against the header's verifier before any
+// decryption is attempted (ErrWrongPassword on a mismatch).
+func OpenWithKey(key []byte, transport string, opts Options) (*Editor, error) {
 	defer metricOpen.Start().End()
 	if opts.Nonces == nil {
 		opts.Nonces = crypt.CryptoNonceSource{}
@@ -179,7 +193,6 @@ func OpenWith(password, transport string, opts Options) (*Editor, error) {
 		// int() marks the scheme id as a discriminator, not content.
 		return nil, fmt.Errorf("%w: container scheme id %d", ErrBadScheme, int(h.SchemeID))
 	}
-	key := crypt.DeriveDocumentKey(password, h.Salt[:])
 	kc := keyCheck(key, h.Salt[:])
 	if kc != h.KeyCheck {
 		return nil, ErrWrongPassword

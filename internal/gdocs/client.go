@@ -153,15 +153,32 @@ func (c *Client) post(ctx context.Context, path string, form url.Values) (string
 		return "", fmt.Errorf("gdocs: post %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp)
 	if err != nil {
 		return "", fmt.Errorf("gdocs: read response: %w", err)
 	}
-	if err := c.checkStatus(resp, string(raw)); err != nil {
+	if err := c.checkStatus(resp, body); err != nil {
 		return "", err
 	}
 	c.degraded = resp.Header.Get(HeaderDegraded) != ""
-	return string(raw), nil
+	return body, nil
+}
+
+// maxPresize caps how much ReadBody allocates up front on the strength
+// of a response's Content-Length, so a hostile length cannot force a
+// huge allocation; a longer body still reads in full.
+const maxPresize = 16 << 20
+
+// ReadBody reads a response body into a string. A known Content-Length
+// presizes the buffer, so a whole container is copied into the string
+// once instead of regrown while read and copied again when converted.
+func ReadBody(resp *http.Response) (string, error) {
+	var b strings.Builder
+	if n := resp.ContentLength; n > 0 {
+		b.Grow(int(min(n, maxPresize)))
+	}
+	_, err := io.Copy(&b, resp.Body)
+	return b.String(), err
 }
 
 // Create registers a new, empty document on the server and begins an
@@ -194,11 +211,11 @@ func (c *Client) Load() error {
 		return fmt.Errorf("gdocs: load: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp)
 	if err != nil {
 		return fmt.Errorf("gdocs: read load response: %w", err)
 	}
-	if err := c.checkStatus(resp, string(raw)); err != nil {
+	if err := c.checkStatus(resp, body); err != nil {
 		return err
 	}
 	c.degraded = resp.Header.Get(HeaderDegraded) != ""
@@ -207,7 +224,7 @@ func (c *Client) Load() error {
 			c.version = parsed
 		}
 	}
-	c.local = string(raw)
+	c.local = body
 	c.lastSaved = c.local
 	c.inSession = true
 	c.sentFull = false
@@ -232,11 +249,11 @@ func (c *Client) Refresh() error {
 		return fmt.Errorf("gdocs: refresh: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp)
 	if err != nil {
 		return fmt.Errorf("gdocs: read refresh response: %w", err)
 	}
-	if err := c.checkStatus(resp, string(raw)); err != nil {
+	if err := c.checkStatus(resp, body); err != nil {
 		return err
 	}
 	c.degraded = resp.Header.Get(HeaderDegraded) != ""
@@ -245,7 +262,7 @@ func (c *Client) Refresh() error {
 			c.version = parsed
 		}
 	}
-	c.local = string(raw)
+	c.local = body
 	c.lastSaved = c.local
 	return nil
 }
@@ -403,11 +420,11 @@ func (c *Client) fetchLocked(ctx context.Context) (string, int, error) {
 		return "", 0, fmt.Errorf("gdocs: fetch: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp)
 	if err != nil {
 		return "", 0, fmt.Errorf("gdocs: read fetch response: %w", err)
 	}
-	if err := c.checkStatus(resp, string(raw)); err != nil {
+	if err := c.checkStatus(resp, body); err != nil {
 		return "", 0, err
 	}
 	version := c.version
@@ -416,7 +433,7 @@ func (c *Client) fetchLocked(ctx context.Context) (string, int, error) {
 			version = parsed
 		}
 	}
-	return string(raw), version, nil
+	return body, version, nil
 }
 
 // fetchSinceLocked is the catch-up variant of fetchLocked: it asks the
@@ -442,11 +459,11 @@ func (c *Client) fetchSinceLocked(ctx context.Context) (base string, version int
 		return "", 0, nil, false, fmt.Errorf("gdocs: fetch: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp)
 	if err != nil {
 		return "", 0, nil, false, fmt.Errorf("gdocs: read fetch response: %w", err)
 	}
-	if err := c.checkStatus(resp, string(raw)); err != nil {
+	if err := c.checkStatus(resp, body); err != nil {
 		return "", 0, nil, false, err
 	}
 	version = c.version
@@ -456,9 +473,9 @@ func (c *Client) fetchSinceLocked(ctx context.Context) (base string, version int
 		}
 	}
 	if resp.Header.Get(HeaderDeltas) == "" {
-		return string(raw), version, nil, false, nil
+		return body, version, nil, false, nil
 	}
-	if cu, perr := ParseCatchup(string(raw)); perr == nil {
+	if cu, perr := ParseCatchup(body); perr == nil {
 		base = c.lastSaved
 		var acc delta.Delta
 		good := true

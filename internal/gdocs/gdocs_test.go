@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -382,5 +383,48 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown endpoint status = %d", resp.StatusCode)
+	}
+}
+
+// TestGetDocContentLength: a GET /Doc response declares its body length,
+// for an empty document, for a container past net/http's write buffer
+// (which would otherwise go out chunked, with no length), and for a
+// delta catch-up; ReadBody returns exactly that body.
+func TestGetDocContentLength(t *testing.T) {
+	s, ts := newTestServer(t)
+	ctx := context.Background()
+	if err := s.Create(ctx, "empty"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create(ctx, "full"); err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("ABCDEFGH234567", 10000)
+	if _, err := s.SetContents(ctx, "full", big, -1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyDelta(ctx, "full", "=5\t+XY", -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, query, want string }{
+		{"empty document", "docID=empty", ""},
+		{"non-empty document", "docID=full", big[:5] + "XY" + big[5:]},
+		{"catch-up", "docID=full&since=1", Catchup{Deltas: []string{"=5\t+XY"}, Version: 2}.Encode()},
+	} {
+		resp, err := ts.Client().Get(ts.URL + PathDoc + "?" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := ReadBody(resp)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: read: %v", c.name, err)
+		}
+		if body != c.want {
+			t.Fatalf("%s: body of %d bytes, want %d", c.name, len(body), len(c.want))
+		}
+		if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: Content-Length %d (header %q), body %d bytes", c.name, resp.ContentLength, resp.Header.Get("Content-Length"), len(body))
+		}
 	}
 }

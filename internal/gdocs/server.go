@@ -499,7 +499,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if ok {
 				w.Header().Set(HeaderDeltas, "1")
 				w.Header().Set(HeaderDocVersion, strconv.Itoa(cu.Version))
-				_, _ = io.WriteString(w, cu.Encode())
+				writeBody(w, cu.Encode())
 				return
 			}
 			// History gap: fall through to the full-content response.
@@ -510,7 +510,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set(HeaderDocVersion, strconv.Itoa(version))
-		_, _ = io.WriteString(w, content)
+		writeBody(w, content)
 
 	case r.URL.Path == PathDoc && r.Method == http.MethodPost:
 		if err := r.ParseForm(); err != nil {
@@ -579,4 +579,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "gdocs: unknown endpoint", http.StatusNotFound)
 	}
+}
+
+// writeBody writes a document body with its Content-Length, so a reader
+// (ReadBody) sizes its buffer once instead of regrowing it; without the
+// header, net/http chunks any body past its small write buffer.
+func writeBody(w http.ResponseWriter, body string) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = io.WriteString(w, body)
 }

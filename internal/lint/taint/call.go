@@ -108,7 +108,8 @@ func (ec *evalCtx) evalCall(call *ast.CallExpr) []*val {
 	}
 
 	// 2. Source spec (builtin table or //taint:source annotation).
-	if spec := ec.a.sourceSpecFor(fn); spec != nil {
+	spec := ec.a.sourceSpecFor(fn)
+	if spec != nil {
 		ec.applySourceSpec(spec, call, results)
 	}
 
@@ -122,17 +123,19 @@ func (ec *evalCtx) evalCall(call *ast.CallExpr) []*val {
 		return results
 	}
 
-	// 4. In-module callee: compose its summary.
+	// 4. In-module callee: compose its summary. Results the source spec
+	// covers keep only the spec's taint (see applySummary).
 	if callee := ec.a.funcs[fn]; callee != nil {
-		ec.applySummary(callee, call, inputVals, inputExprs, results)
+		ec.applySummary(callee, spec, call, inputVals, inputExprs, results)
 		return results
 	}
 
 	// 5. Interface method: merge every in-module implementation.
 	if impls := ec.a.implementations(fn); len(impls) > 0 {
 		for _, impl := range impls {
-			if spec := ec.a.sourceSpecFor(impl.fn); spec != nil {
-				ec.applySourceSpec(spec, call, results)
+			implSpec := ec.a.sourceSpecFor(impl.fn)
+			if implSpec != nil {
+				ec.applySourceSpec(implSpec, call, results)
 			}
 			if spec, ok := builtinSinks[symbolKey(impl.fn)]; ok {
 				implSig, _ := impl.fn.Type().(*types.Signature)
@@ -142,7 +145,7 @@ func (ec *evalCtx) evalCall(call *ast.CallExpr) []*val {
 				ec.applySummarySinks(impl, call, inputVals)
 				continue
 			}
-			ec.applySummary(impl, call, inputVals, inputExprs, results)
+			ec.applySummary(impl, implSpec, call, inputVals, inputExprs, results)
 		}
 		return results
 	}
@@ -244,8 +247,12 @@ func (ec *evalCtx) applySourceSpec(spec *sourceSpec, call *ast.CallExpr, results
 }
 
 // applySummary composes a callee summary into the caller: result taints,
-// writes through arguments, and conditional sinks.
-func (ec *evalCtx) applySummary(callee *funcInfo, call *ast.CallExpr, inputVals []*val, inputExprs []ast.Expr, results []*val) {
+// writes through arguments, and conditional sinks. A result that spec,
+// the callee's source spec (nil if none), covers is already tainted at
+// the call; the summary's path to it from inside the callee names the
+// same plaintext, and composing it too would report one source → sink
+// site twice, so it is skipped.
+func (ec *evalCtx) applySummary(callee *funcInfo, spec *sourceSpec, call *ast.CallExpr, inputVals []*val, inputExprs []ast.Expr, results []*val) {
 	sum := callee.sum
 	display := displayName(callee.fn)
 	intoStep := Step{Pos: call.Pos(), Note: "passed to " + display}
@@ -299,7 +306,7 @@ func (ec *evalCtx) applySummary(callee *funcInfo, call *ast.CallExpr, inputVals 
 			v = &val{symInput: -1, fields: map[string]*fact{key.outField: out}}
 		}
 		if key.out < sum.numResults {
-			if key.out < len(results) {
+			if key.out < len(results) && !spec.covers(key.out) {
 				results[key.out] = mergeVals(results[key.out], v)
 			}
 			continue

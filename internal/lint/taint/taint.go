@@ -35,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -76,6 +77,11 @@ type sourceSpec struct {
 	desc      string
 	results   []int // result indices that return tainted data
 	outParams []int // parameter indices written with tainted data (e.g. PRP.Decrypt dst)
+}
+
+// covers reports whether the spec taints result i (false for a nil spec).
+func (s *sourceSpec) covers(i int) bool {
+	return s != nil && slices.Contains(s.results, i)
 }
 
 // sinkSpec marks function parameters as crossing the trust boundary.

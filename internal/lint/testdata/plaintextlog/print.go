@@ -50,3 +50,15 @@ func Render(d *Doc) string {
 	fmt.Fprintln(&b, d.Text)
 	return b.String()
 }
+
+// Body is a source by annotation whose own body reads a source field,
+// like core.Editor.Plaintext over blockdoc.Document.Plaintext: the spec
+// and the composed summary name one leak, reported once.
+//
+//taint:source decrypted body accessor
+func (d *Doc) Body() string { return d.Text }
+
+// BodyLeak prints the accessor's result: exactly one finding.
+func BodyLeak(d *Doc) {
+	fmt.Println(d.Body()) // want `plaintext reaches stdout: source: //taint:source Body`
+}

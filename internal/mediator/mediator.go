@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 
+	"privedit/internal/blockdoc"
 	"privedit/internal/core"
 	"privedit/internal/covert"
 	"privedit/internal/crypt"
@@ -53,6 +54,8 @@ var (
 		"Document-load decryption latency inside the extension (incl. stego), seconds.", obs.TimeBuckets)
 	metricPasswordFailures = obs.NewCounter("privedit_mediator_password_failures_total",
 		"Failed attempts to derive or verify a document key (wrong password or provider error).")
+	metricKeyDerivations = obs.NewCounter("privedit_mediator_key_derivations_total",
+		"Document keys derived from a password on open; a re-open with a cached key derives none.")
 	metricDeltaPlainBytes = obs.NewCounter("privedit_mediator_delta_plain_bytes_total",
 		"Plaintext delta bytes submitted by the client application.")
 	metricDeltaCipherBytes = obs.NewCounter("privedit_mediator_delta_cipher_bytes_total",
@@ -134,6 +137,7 @@ type Extension struct {
 
 	mu       sync.RWMutex
 	sessions map[string]*session
+	keys     keyCache   // document keys derived on open, by salt and password
 	rngMu    sync.Mutex // guards res.rng (backoff jitter)
 
 	statsMu sync.Mutex
@@ -270,19 +274,35 @@ func (e *Extension) editorLocked(sess *session, docID string) (*core.Editor, err
 }
 
 // openEditorLocked (re)opens the encryption state from a server-held
-// container. Callers must hold sess.mu.
+// container. The document key comes from the extension's key cache when
+// this password already opened a container with this salt; otherwise it
+// is derived, and cached once the open has passed the key check.
+// Callers must hold sess.mu.
 func (e *Extension) openEditorLocked(sess *session, docID, transport string) (*core.Editor, error) {
 	password, _, err := e.passwords(docID)
 	if err != nil {
 		metricPasswordFailures.Inc()
 		return nil, err
 	}
-	ed, err := core.OpenWith(password, transport, core.Options{})
+	h, err := blockdoc.PeekHeader(transport)
+	if err != nil {
+		return nil, err
+	}
+	id := newKeyID(h.Salt, password)
+	key, cached := e.keys.get(id)
+	if !cached {
+		metricKeyDerivations.Inc()
+		key = crypt.DeriveDocumentKey(password, h.Salt[:])
+	}
+	ed, err := core.OpenWithKey(key, transport, core.Options{})
 	if err != nil {
 		if errors.Is(err, core.ErrWrongPassword) {
 			metricPasswordFailures.Inc()
 		}
 		return nil, err
+	}
+	if !cached {
+		e.keys.put(id, key)
 	}
 	sess.ed, sess.shadow = ed, ed.Plaintext()
 	return ed, nil

@@ -13,6 +13,7 @@ import (
 	"privedit/internal/crypt"
 	"privedit/internal/delta"
 	"privedit/internal/gdocs"
+	"privedit/internal/obs"
 )
 
 // harness wires a simulated Google Documents server, a mediating
@@ -181,9 +182,18 @@ func TestWrongPasswordOnLoad(t *testing.T) {
 	flush(t, h.ext, "private-doc")
 	opts := core.Options{Scheme: core.ConfidentialityIntegrity, Nonces: crypt.NewSeededNonceSource(1)}
 	extWrong := New(h.ts.Client().Transport, StaticPassword("not the password", opts))
-	clientWrong := gdocs.NewClient(extWrong.Client(), h.ts.URL, "private-doc")
-	if err := clientWrong.Load(); !errors.Is(err, gdocs.ErrBlocked) {
-		t.Errorf("wrong-password load = %v, want ErrBlocked", err)
+	// Every attempt is blocked, derives the key again (a key that failed
+	// its check is never cached) and counts a password failure.
+	obs.Enable()
+	for attempt := 1; attempt <= 2; attempt++ {
+		failures, derivations := metricPasswordFailures.Value(), metricKeyDerivations.Value()
+		clientWrong := gdocs.NewClient(extWrong.Client(), h.ts.URL, "private-doc")
+		if err := clientWrong.Load(); !errors.Is(err, gdocs.ErrBlocked) {
+			t.Errorf("attempt %d: wrong-password load = %v, want ErrBlocked", attempt, err)
+		}
+		if f, d := metricPasswordFailures.Value()-failures, metricKeyDerivations.Value()-derivations; f != 1 || d != 1 {
+			t.Errorf("attempt %d: password failures +%d, key derivations +%d, want +1 each", attempt, f, d)
+		}
 	}
 }
 

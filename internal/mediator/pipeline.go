@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -244,13 +243,12 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	if resp.StatusCode != http.StatusOK {
 		return resp, nil
 	}
-	raw, err := io.ReadAll(resp.Body)
+	mirror, err := gdocs.ReadBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("%w: read: %w", errUnreachable, err)
 	}
 	version, _ := strconv.Atoi(resp.Header.Get(gdocs.HeaderDocVersion))
-	mirror := string(raw)
 	transport := mirror
 	if e.useStego && transport != "" {
 		if transport, err = stego.Decode(transport); err != nil {
@@ -365,7 +363,7 @@ func (e *Extension) fetchServerState(ctx context.Context, baseURL *url.URL, docI
 	if err != nil {
 		return "", 0, false, err
 	}
-	raw, err := io.ReadAll(resp.Body)
+	body, err := gdocs.ReadBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return "", 0, false, err
@@ -375,9 +373,9 @@ func (e *Extension) fetchServerState(ctx context.Context, baseURL *url.URL, docI
 	}
 	version, _ = strconv.Atoi(resp.Header.Get(gdocs.HeaderDocVersion))
 	if resp.Header.Get(gdocs.HeaderDeltas) == "" {
-		return string(raw), version, false, nil
+		return body, version, false, nil
 	}
-	cu, err := gdocs.ParseCatchup(string(raw))
+	cu, err := gdocs.ParseCatchup(body)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -834,12 +832,12 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 		status, ackVersion := 0, -1
 		if err == nil {
 			status = resp.StatusCode
-			raw, rerr := io.ReadAll(resp.Body)
+			body, rerr := gdocs.ReadBody(resp)
 			resp.Body.Close()
 			if rerr != nil {
 				fail = true
 			} else if status == http.StatusOK {
-				if ack, aerr := gdocs.ParseAck(string(raw)); aerr == nil {
+				if ack, aerr := gdocs.ParseAck(body); aerr == nil {
 					ackVersion = ack.Version
 				} else {
 					fail = true

@@ -295,13 +295,13 @@ func (e *Extension) attemptOnce(ctx context.Context, build func(context.Context)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(resp.Body)
+	body, err := gdocs.ReadBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return nil, err
 	}
-	resp.Body = io.NopCloser(strings.NewReader(string(raw)))
-	resp.ContentLength = int64(len(raw))
+	resp.Body = io.NopCloser(strings.NewReader(body))
+	resp.ContentLength = int64(len(body))
 	return resp, nil
 }
 
