@@ -68,7 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTransformDelta -fuzztime=$(FUZZTIME) ./internal/blockdoc/
 	$(GO) test -fuzz=FuzzOpsAgainstReference -fuzztime=$(FUZZTIME) ./internal/skiplist/
 	$(GO) test -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) ./internal/diff/
-	$(GO) test -fuzz='^FuzzDecodeTransport$$' -fuzztime=$(FUZZTIME) ./internal/crypt/
+	$(GO) test -fuzz=FuzzDecodeTransport -fuzztime=$(FUZZTIME) ./internal/crypt/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/stego/
 	$(GO) test -fuzz=FuzzDirective -fuzztime=$(FUZZTIME) ./internal/lint/
 
@@ -94,7 +94,10 @@ metrics-smoke:
 # own mediator, editing the same documents). The workload's own check
 # requires at least one 409 and a correct result; this target also
 # requires that every conflict was repaired by transform-merge
-# (mediator.ot_merge_frac = 1: no full resync). The one-extension
+# (mediator.ot_merge_frac = 1: no full resync), and that stale client
+# saves were merged by the extension rather than by the client:
+# gdocs.client_resyncs at most 0.1 per edit (the run's attempted ops).
+# The one-extension
 # property (shared sessions never resync or drop a save) is pinned by
 # internal/e2e's TestConcurrentSessionsSharedDoc. Writes /tmp/BENCH_ot.json
 # (the run's result line) and /tmp/privedit-ot.txt (the whole run).
@@ -105,7 +108,11 @@ ot-smoke:
 	@grep -q '"correct":true' /tmp/BENCH_ot.json || { echo "ot-smoke: coedit result not correct"; exit 1; }
 	@grep -q '"mediator.ot_merge_frac":{"value":1,' /tmp/BENCH_ot.json \
 		|| { grep '^# metric mediator.ot_merge_frac' /tmp/privedit-ot.txt; echo "ot-smoke: a conflict fell back to a full resync"; exit 1; }
-	@echo "ot-smoke: coedit correct, every conflict transform-merged"
+	@edits=$$(grep -o '"attempted":[0-9]*' /tmp/BENCH_ot.json | cut -d: -f2); \
+	resyncs=$$(grep -o '"gdocs.client_resyncs":{"value":[0-9.e+-]*' /tmp/BENCH_ot.json | sed 's/.*://'); \
+	awk -v r="$$resyncs" -v e="$$edits" 'BEGIN { exit !(e > 0 && r != "" && r <= 0.1 * e) }' \
+		|| { echo "ot-smoke: $$resyncs client resyncs for $$edits edits, want at most 0.1 per edit"; exit 1; }
+	@echo "ot-smoke: coedit correct, every conflict transform-merged, stale client saves merged in the extension"
 
 # Short traced chaos run: concurrent resilient sessions through a seeded
 # fault storm, with per-document convergence verification (the run fails

@@ -5,7 +5,6 @@ import (
 	"encoding/base32"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -106,30 +105,6 @@ func referenceDecodeTransport(s string) ([]byte, error) {
 		return nil, errors.New("non-canonical")
 	}
 	return raw, nil
-}
-
-// FuzzDecodeTransportMatchesReference pins accept/reject behavior and
-// decoded bytes of the trailing-bits canonicality check to the old
-// re-encode check, over arbitrary input strings (both cases: valid
-// encodings mutate into rejects, garbage stays garbage).
-func FuzzDecodeTransportMatchesReference(f *testing.F) {
-	f.Add("")
-	f.Add("74")         // canonical encoding of 0xFF
-	f.Add("75")         // same data bits, nonzero slack -> must reject
-	f.Add("7")          // impossible length
-	f.Add("a2")         // lowercase: outside the alphabet
-	f.Add("MZXW6YTBOI") // "foobar"
-	f.Add(strings.Repeat("A", 16))
-	f.Fuzz(func(t *testing.T, s string) {
-		gotRaw, gotErr := DecodeTransport(s)
-		wantRaw, wantErr := referenceDecodeTransport(s)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("accept/reject mismatch on %q: new err=%v, reference err=%v", s, gotErr, wantErr)
-		}
-		if gotErr == nil && !bytes.Equal(gotRaw, wantRaw) {
-			t.Fatalf("decoded bytes mismatch on %q", s)
-		}
-	})
 }
 
 func TestRawLenInvertsTransportLen(t *testing.T) {

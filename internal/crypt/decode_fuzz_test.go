@@ -3,6 +3,7 @@ package crypt
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,12 @@ func FuzzDecodeTransport(f *testing.F) {
 	f.Add("AB")
 	f.Add("MZXW6YTB\nOI")
 	f.Add("not base32 at all!")
+	f.Add("74")         // canonical encoding of 0xFF
+	f.Add("75")         // same data bits, nonzero slack: rejected
+	f.Add("7")          // impossible length
+	f.Add("a2")         // lowercase: outside the alphabet
+	f.Add("MZXW6YTBOI") // "foobar"
+	f.Add(strings.Repeat("A", 16))
 
 	f.Fuzz(func(t *testing.T, s string) {
 		wantRaw, refErr := referenceDecodeTransport(s)

@@ -44,20 +44,26 @@ func Diff(a, b string) delta.Delta {
 	// Bytewise common-prefix/suffix fast path: a small edit in a large
 	// document should not pay for tokenizing the whole document. The trim
 	// points are backed off to rune boundaries of both strings so the
-	// middle handed to the token diff never starts or ends mid-rune.
+	// middle handed to the token diff never starts or ends mid-rune. Each
+	// end is skipped a chunk at a time (one memequal per chunk) before the
+	// byte loop finds the exact mismatch.
+	const chunk = 64
 	p := 0
-	max := len(a)
-	if len(b) < max {
-		max = len(b)
+	short := min(len(a), len(b))
+	for p+chunk <= short && a[p:p+chunk] == b[p:p+chunk] {
+		p += chunk
 	}
-	for p < max && a[p] == b[p] {
+	for p < short && a[p] == b[p] {
 		p++
 	}
 	for p > 0 && (!boundary(a, p) || !boundary(b, p)) {
 		p--
 	}
 	s := 0
-	for s < max-p && a[len(a)-1-s] == b[len(b)-1-s] {
+	for s+chunk <= short-p && a[len(a)-s-chunk:len(a)-s] == b[len(b)-s-chunk:len(b)-s] {
+		s += chunk
+	}
+	for s < short-p && a[len(a)-1-s] == b[len(b)-1-s] {
 		s++
 	}
 	for s > 0 && (!boundary(a, len(a)-s) || !boundary(b, len(b)-s)) {

@@ -220,6 +220,41 @@ func TestDiffInvalidUTF8(t *testing.T) {
 	}
 }
 
+// Long shared ends around a differing 2-byte rune that straddles a
+// 64-byte chunk boundary: after chunkPad the rune spans bytes 63 and 64,
+// so the chunked prefix skip stops mid-rune and must back off.
+var (
+	chunkPad  = strings.Repeat("x", 63)
+	chunkLong = strings.Repeat("0123456789abcdef", 12)
+)
+
+// TestDiffTrimAcrossChunks covers the chunked prefix/suffix skip: runes
+// that differ in their continuation byte across a chunk boundary, at the
+// front, at the back and at both ends, plus edits that sit exactly on a
+// boundary. Each script must round-trip, keep runes whole and stay
+// minimal against the DP reference.
+func TestDiffTrimAcrossChunks(t *testing.T) {
+	cases := []struct{ a, b string }{
+		{chunkPad + "é" + chunkLong, chunkPad + "è" + chunkLong},
+		{chunkLong + "é" + chunkPad, chunkLong + "è" + chunkPad},
+		{chunkPad + "é" + chunkLong + "é" + chunkPad, chunkPad + "è" + chunkLong + "è" + chunkPad},
+		{chunkPad + "日本" + chunkLong, chunkPad + "日本語" + chunkLong},
+		{chunkLong + chunkLong, chunkLong + "€" + chunkLong},
+		{chunkPad + "é" + chunkLong, chunkPad + chunkLong},
+		{chunkLong, chunkLong},
+	}
+	for _, tc := range cases {
+		d := Diff(tc.a, tc.b)
+		if got := mustApply(t, d, tc.a); got != tc.b {
+			t.Fatalf("Diff(%q,%q) does not round-trip: got %q", tc.a, tc.b, got)
+		}
+		checkRuneAligned(t, d, tc.a)
+		if got, want := scriptTokenCost(t, d, tc.a), dpDistance(tc.a, tc.b); got != want {
+			t.Errorf("Diff(%q,%q) costs %d rune edits, DP reference = %d (delta %q)", tc.a, tc.b, got, want, d.String())
+		}
+	}
+}
+
 // FuzzDiff fuzzes the round-trip property with a multibyte-heavy corpus,
 // plus rune alignment whenever both inputs are valid UTF-8.
 func FuzzDiff(f *testing.F) {
@@ -231,6 +266,8 @@ func FuzzDiff(f *testing.F) {
 	f.Add("naïve café", "naive cafe")
 	f.Add("a\x80b", "ab")
 	f.Add(strings.Repeat("ü", 50), strings.Repeat("ü", 49)+"u")
+	f.Add(chunkPad+"é"+chunkLong, chunkPad+"è"+chunkLong)
+	f.Add(chunkLong+"é"+chunkPad, chunkLong+"è"+chunkPad)
 	f.Fuzz(func(t *testing.T, a, b string) {
 		d := Diff(a, b)
 		got, err := d.Apply(a)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,5 +119,62 @@ func TestVersionedSaveAckIsVersionOnly(t *testing.T) {
 	if want := next[1:]; ack.ContentFromServer != want || ack.ContentFromServerHash != ContentHash(want) || ack.Version != 3 {
 		t.Errorf("unversioned save: ack has %d B echo, hash %d, v%d; want the %d B stored text at v3",
 			len(ack.ContentFromServer), ack.ContentFromServerHash, ack.Version, len(want))
+	}
+}
+
+// TestAckDeltaFromServer pins the wire form of the ack: a server ack
+// encodes exactly as it did before the deltaFromServer field existed,
+// and the field, which only the mediating extension sets, round-trips.
+func TestAckDeltaFromServer(t *testing.T) {
+	s, ts := newTestServer(t)
+	if err := s.Create(context.Background(), "d"); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	status, body := postSave(t, ts, url.Values{FieldDocID: {"d"}, FieldDocContents: {"abc"}, FieldVersion: {"0"}}, "")
+	if want := "contentFromServer=&contentFromServerHash=0&version=1"; status != http.StatusOK || body != want {
+		t.Errorf("versioned save ack = %d %q, want 200 %q", status, body, want)
+	}
+	status, body = postSave(t, ts, url.Values{FieldDocID: {"d"}, FieldDelta: {"=1\t+&"}}, "")
+	if want := "contentFromServer=a%26bc&contentFromServerHash=" + strconv.FormatUint(uint64(ContentHash("a&bc")), 10) + "&version=2"; status != http.StatusOK || body != want {
+		t.Errorf("unversioned save ack = %d %q, want 200 %q", status, body, want)
+	}
+	if ack, err := ParseAck(body); err != nil || ack.DeltaFromServer != "" {
+		t.Errorf("server ack parses to (%+v, %v), want no deltaFromServer", ack, err)
+	}
+
+	merged := Ack{DeltaFromServer: delta.Delta{delta.RetainOp(2), delta.InsertOp("x&y\t=z"), delta.DeleteOp(1)}.String(), Version: 9}
+	enc := merged.Encode()
+	if !strings.Contains(enc, "&deltaFromServer=") {
+		t.Errorf("Encode(%+v) = %q, no deltaFromServer field", merged, enc)
+	}
+	got, err := ParseAck(enc)
+	if err != nil || got != merged {
+		t.Errorf("ParseAck(%q) = (%+v, %v), want %+v", enc, got, err, merged)
+	}
+}
+
+// TestAckDeltaThatDoesNotApply: an ack whose deltaFromServer does not fit
+// the working copy leaves the copy as it was and ends the session, so the
+// landed edit is never sent a second time.
+func TestAckDeltaThatDoesNotApply(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathDoc {
+			io.WriteString(w, Ack{DeltaFromServer: "=999\t+x", Version: 5}.Encode())
+		}
+	}))
+	defer ts.Close()
+	c := NewClient(ts.Client(), ts.URL, "d")
+	if err := c.Create(); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	c.SetText("abc")
+	if err := c.Save(); err == nil {
+		t.Fatal("save with an inapplicable ack delta succeeded")
+	}
+	if got := c.Text(); got != "abc" {
+		t.Errorf("working copy = %q after a bad ack delta, want it unchanged", got)
+	}
+	if err := c.Save(); err == nil || !strings.Contains(err.Error(), "no editing session") {
+		t.Errorf("next save = %v, want the session ended", err)
 	}
 }

@@ -271,10 +271,6 @@ func (c *Client) Refresh() error {
 func (c *Client) Insert(pos int, text string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.insertLocked(pos, text)
-}
-
-func (c *Client) insertLocked(pos int, text string) error {
 	if pos < 0 || pos > len(c.local) {
 		return fmt.Errorf("gdocs: insert at %d in %d-char document", pos, len(c.local))
 	}
@@ -286,10 +282,6 @@ func (c *Client) insertLocked(pos int, text string) error {
 func (c *Client) Delete(pos, n int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.deleteLocked(pos, n)
-}
-
-func (c *Client) deleteLocked(pos, n int) error {
 	if pos < 0 || n < 0 || pos+n > len(c.local) {
 		return fmt.Errorf("gdocs: delete %d at %d in %d-char document", n, pos, len(c.local))
 	}
@@ -301,10 +293,11 @@ func (c *Client) deleteLocked(pos, n int) error {
 func (c *Client) Replace(pos, n int, text string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.deleteLocked(pos, n); err != nil {
-		return err
+	if pos < 0 || n < 0 || pos+n > len(c.local) {
+		return fmt.Errorf("gdocs: delete %d at %d in %d-char document", n, pos, len(c.local))
 	}
-	return c.insertLocked(pos, text)
+	c.local = c.local[:pos] + text + c.local[pos+n:]
+	return nil
 }
 
 // SetText replaces the whole working copy.
@@ -358,6 +351,23 @@ func (c *Client) saveLocked(ctx context.Context) error {
 		return err
 	}
 	c.version = ack.Version
+	if ack.DeltaFromServer != "" {
+		// The mediating extension merged this stale save over edits the
+		// client had not seen; the ack carries them, transformed over ours.
+		var merged string
+		d, err := delta.Parse(ack.DeltaFromServer)
+		if err == nil {
+			merged, err = d.Apply(c.local)
+		}
+		if err != nil {
+			// The save landed, but the working copy's base is now unknown:
+			// end the session so the edit is never sent again. Load starts
+			// a new one.
+			c.inSession = false
+			return fmt.Errorf("gdocs: apply ack delta: %w", err)
+		}
+		c.local = merged
+	}
 	c.lastSaved = c.local
 	c.sentFull = true
 	return nil
@@ -516,6 +526,11 @@ func (c *Client) fetchSinceLocked(ctx context.Context) (base string, version int
 //
 // The merge happens entirely client-side on plaintext, so it composes with
 // the encrypting extension: the server still only ever sees ciphertext.
+// Behind the extension a stale delta save does not conflict: the
+// extension merges it with the same tie rule and acks it with
+// deltaFromServer. Sync's merge then runs only when the extension's
+// catch-up ring no longer covers the client's version, or for a stale
+// full-content save.
 // (SPORC gets stronger guarantees by redesigning the server; the paper
 // §VII-A contrasts that approach with this tool's no-server-changes goal.)
 func (c *Client) Sync() error {

@@ -3,6 +3,7 @@ package gdocs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -213,6 +214,38 @@ func TestClientEditBoundsChecked(t *testing.T) {
 	}
 	if err := c.Delete(0, 5); err == nil {
 		t.Error("out-of-range delete accepted")
+	}
+}
+
+// TestReplaceEqualsDeleteThenInsert pins Replace's one-copy splice to
+// the Delete-then-Insert it stands for: same text after, and on a bad
+// range the same error, with the working copy untouched.
+func TestReplaceEqualsDeleteThenInsert(t *testing.T) {
+	const doc = "hello wörld"
+	cases := []struct {
+		pos, n int
+		text   string
+	}{
+		{0, 0, "x"}, {0, 5, "HI"}, {6, 6, ""}, {len(doc), 0, "!"}, {7, 2, "o"}, {3, 2, ""},
+		{-1, 0, "x"}, {0, -1, "x"}, {10, 3, "x"}, {len(doc) + 1, 0, "x"},
+	}
+	for _, tc := range cases {
+		replaced := NewClient(nil, "", "doc")
+		replaced.SetText(doc)
+		err := replaced.Replace(tc.pos, tc.n, tc.text)
+
+		split := NewClient(nil, "", "doc")
+		split.SetText(doc)
+		wantErr := split.Delete(tc.pos, tc.n)
+		if wantErr == nil {
+			wantErr = split.Insert(tc.pos, tc.text)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("Replace(%d, %d, %q) error %v, Delete+Insert %v", tc.pos, tc.n, tc.text, err, wantErr)
+		}
+		if got, want := replaced.Text(), split.Text(); got != want {
+			t.Errorf("Replace(%d, %d, %q) = %q, Delete+Insert = %q", tc.pos, tc.n, tc.text, got, want)
+		}
 	}
 }
 

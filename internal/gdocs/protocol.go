@@ -7,7 +7,11 @@
 // fields are filled only for an unversioned save (no version field): a
 // versioned save was applied to exactly the state its client holds, so
 // the ack carries the new version alone — what the client cannot derive,
-// and nothing that grows with the document. The server is, as
+// and nothing that grows with the document. One more field,
+// deltaFromServer, only ever comes from the mediating extension: when it
+// merges a stale delta save over edits the client had not seen, the ack
+// carries those edits as a delta for the client's working copy. The
+// server never sets it. The server is, as
 // the paper puts it, "a glorified data store": none of its computation
 // depends on the document text, which is exactly why the mediating
 // extension can swap the text for ciphertext.
@@ -121,9 +125,17 @@ func ParseCatchup(body string) (Catchup, error) {
 // the base version and sent the edit, so it already holds the stored
 // text. An unversioned save (a paper-era client, SaveRawDelta) cannot
 // derive it, so its ack echoes the stored content and its hash.
+//
+// DeltaFromServer is the delta counterpart of contentFromServer: set only
+// by the mediating extension when it merged a stale delta save over the
+// edits the client had not seen, it holds those edits transformed over
+// the client's delta, which the client applies to its working copy to
+// reach the merged text. The field is omitted when empty, so every server
+// ack encodes as before.
 type Ack struct {
 	ContentFromServer     string
 	ContentFromServerHash uint32
+	DeltaFromServer       string
 	Version               int
 }
 
@@ -132,6 +144,9 @@ func (a Ack) Encode() string {
 	v := url.Values{}
 	v.Set("contentFromServer", a.ContentFromServer)
 	v.Set("contentFromServerHash", strconv.FormatUint(uint64(a.ContentFromServerHash), 10))
+	if a.DeltaFromServer != "" {
+		v.Set("deltaFromServer", a.DeltaFromServer)
+	}
 	v.Set("version", strconv.Itoa(a.Version))
 	return v.Encode()
 }
@@ -153,6 +168,7 @@ func ParseAck(body string) (Ack, error) {
 	return Ack{
 		ContentFromServer:     v.Get("contentFromServer"),
 		ContentFromServerHash: uint32(hash),
+		DeltaFromServer:       v.Get("deltaFromServer"),
 		Version:               version,
 	}, nil
 }

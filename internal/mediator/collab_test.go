@@ -2,7 +2,6 @@ package mediator
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"privedit/internal/core"
@@ -15,9 +14,9 @@ import (
 // document concurrently — all without the server ever seeing plaintext.
 // This goes beyond the paper's §VII-A (which stopped at "simultaneous
 // editing leads to conflicts"): a save that loses the race at the server
-// is merged by the extension's queue with delta.Transform, and a client
-// that edits a stale view recovers through its own OT merge (Sync) over
-// the extension's catch-up deltas.
+// is merged by the extension's queue with delta.Transform, and a save
+// from a client that edits a stale view is merged by its extension on
+// ingest, over the extension's catch-up ring.
 func TestEncryptedCollaborationWithSync(t *testing.T) {
 	h := newHarness(t, core.ConfidentialityIntegrity, nil)
 	opts := core.Options{
@@ -73,9 +72,9 @@ func TestEncryptedCollaborationWithSync(t *testing.T) {
 		t.Errorf("merged = %q, want both edits", bob.Text())
 	}
 
-	// Alice's extension folds bob's save in on an idle catch-up; alice,
-	// who kept editing her stale view, gets a conflict and merges it with
-	// Sync.
+	// Alice's extension folds bob's save in on an idle catch-up. Alice
+	// kept editing her stale view; her extension merges that save over
+	// bob's edit on ingest, and the ack brings bob's edit into her copy.
 	if err := alice.Refresh(); err != nil {
 		t.Fatalf("alice refresh: %v", err)
 	}
@@ -83,15 +82,19 @@ func TestEncryptedCollaborationWithSync(t *testing.T) {
 	if err := alice.Insert(0, ">"); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.Save(); !errors.Is(err, gdocs.ErrConflict) {
-		t.Fatalf("alice stale save = %v, want conflict first", err)
-	}
-	if err := alice.Sync(); err != nil {
-		t.Fatalf("alice sync: %v", err)
+	staleAt := alice.Version()
+	if err := alice.Save(); err != nil {
+		t.Fatalf("alice stale save: %v", err)
 	}
 	const want = ">FRONT middle BACK"
 	if alice.Text() != want {
 		t.Errorf("alice merged = %q, want %q", alice.Text(), want)
+	}
+	if v := alice.Version(); v != staleAt+2 {
+		t.Errorf("alice at v%d after a stale save from v%d, want v%d (bob's edit, then hers)", v, staleAt, staleAt+2)
+	}
+	if alice.Dirty() {
+		t.Error("alice dirty after the merged save")
 	}
 	flush(t, extA, "pad")
 	if err := bob.Refresh(); err != nil {

@@ -398,8 +398,9 @@ func (e *Extension) mediateCreate(req *http.Request) (*http.Response, error) {
 }
 
 // mediateUpdate is the save ingest: validate against the mediator-owned
-// version, apply to the local view, enqueue, acknowledge — all without
-// touching the network. The session's writer goroutine (pipeline.go)
+// version (rebasing a stale delta save over the catch-up ring), apply to
+// the local view, enqueue, acknowledge — all without touching the
+// network. The session's writer goroutine (pipeline.go)
 // carries the save to the server in the background. Only the first touch
 // of a document waits on the server, to learn its lineage: a server
 // failure (5xx, transport error) there passes through as it does for a
@@ -443,7 +444,10 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 	_, qsp := trace.Start(ctx, trace.SpanEnqueue)
 	defer qsp.End()
 
-	var ent *plEntry
+	var (
+		ent    *plEntry
+		remote delta.Delta // a stale save's unseen edits, for the ack
+	)
 	switch {
 	case form.Has(gdocs.FieldDocContents):
 		content := form.Get(gdocs.FieldDocContents)
@@ -456,7 +460,7 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 			// No-op full save against established lineage: acknowledge the
 			// current version without queueing (a bump here would make the
 			// client's next delta conflict spuriously).
-			return e.pipeAck(req, pl, degraded), nil
+			return e.pipeAck(req, pl, degraded, nil), nil
 		}
 		if pl.srvTransport == "" && len(pl.queue) == 0 {
 			// Brand-new document: the first save must carry the full
@@ -470,7 +474,7 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 
 	case form.Has(gdocs.FieldDelta):
 		wire := form.Get(gdocs.FieldDelta)
-		if hasVersion && version != pl.sv {
+		if hasVersion && version > pl.sv {
 			op.Annotate("conflict", "local")
 			metricVersionConflicts.Inc()
 			return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
@@ -487,6 +491,16 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 			if dropped := before - len(pd); dropped > 0 {
 				metricDeltaOpsCoalesced.Add(int64(dropped))
 			}
+		}
+		if hasVersion && version < pl.sv {
+			// A stale save: merge it here, over the ring's deltas since its
+			// version, instead of sending the client off to fetch and merge.
+			if pd, remote, err = pl.rebaseLocked(version, pd); err != nil {
+				op.Annotate("conflict", "local")
+				metricVersionConflicts.Inc()
+				return synthesize(req, http.StatusConflict, "privedit: version conflict"), nil
+			}
+			op.Annotate("merge", "local")
 		}
 		if e.mitigator != nil {
 			pd, err = e.mitigator.CanonicalDelta(pl.plain, pd)
@@ -531,7 +545,7 @@ func (e *Extension) mediateUpdate(req *http.Request) (*http.Response, error) {
 		op.Annotate("degraded", "save")
 		metricDegradedSave.Inc()
 	}
-	return e.pipeAck(req, pl, degraded), nil
+	return e.pipeAck(req, pl, degraded, remote), nil
 }
 
 // mediateLoad serves a document load from the session's local view. The

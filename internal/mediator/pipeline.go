@@ -6,7 +6,9 @@
 //
 //   - Saves are validated against sv, applied to the local plaintext
 //     view, acknowledged immediately, and pushed onto a per-document
-//     ordered queue (mediator.go's mediateUpdate).
+//     ordered queue (mediator.go's mediateUpdate). A delta save behind sv
+//     is first rebased over the catch-up ring (rebaseLocked), and its ack
+//     carries the edits the client missed.
 //   - The writer drains the queue: it transforms the head entry into a
 //     ciphertext delta against the shadow editor (which tracks the
 //     server's acked lineage), sends it with an idempotency token, and
@@ -105,9 +107,10 @@ type plState struct {
 	retryAt    time.Time
 
 	// hist mirrors the server's catch-up protocol in version space sv: the
-	// plaintext delta behind each recent version bump, so a client whose
-	// save was rejected can transform over exactly what it missed instead
-	// of re-diffing the whole document. Entries are contiguous and end at
+	// plaintext delta behind each recent version bump, so a stale delta
+	// save is rebased on ingest over exactly what its client missed, and
+	// a client whose save was rejected can transform over it instead of
+	// re-diffing the whole document. Entries are contiguous and end at
 	// sv; any bump without a recordable delta clears the ring.
 	hist      []plHist
 	histBytes int
@@ -173,6 +176,43 @@ func (pl *plState) deltasSinceLocked(since int) (deltas []string, ok bool) {
 		return nil, false
 	}
 	return out, true
+}
+
+// rebaseLocked merges a client delta pd made against version since, now
+// behind sv, over the edits the ring holds since then: their composition
+// r, which applies to the text at since. It returns pd rebased to apply
+// to pl.plain, and r rebased over pd, which takes the client's working
+// copy to the same merged text (TP1). The tie rule is Client.Sync's:
+// the edits already applied win position ties, so a merge here equals
+// the one the client would compute itself. It fails when the ring no
+// longer covers since or pd does not fit the text at since. Callers hold
+// sess.mu.
+func (pl *plState) rebaseLocked(since int, pd delta.Delta) (q, remote delta.Delta, err error) {
+	wires, ok := pl.deltasSinceLocked(since)
+	if !ok {
+		return nil, nil, errors.New("mediator: catch-up ring does not cover the save's version")
+	}
+	ds := make([]delta.Delta, len(wires))
+	n := len(pl.plain)
+	for i, w := range wires {
+		if ds[i], err = delta.Parse(w); err != nil {
+			return nil, nil, err
+		}
+		n -= ds[i].InsertLen() - ds[i].DeleteLen()
+	}
+	r := ds[0]
+	for _, d := range ds[1:] {
+		if r, err = delta.Compose(r, d, n); err != nil {
+			return nil, nil, err
+		}
+	}
+	if q, err = delta.Transform(pd, r, n, false); err != nil {
+		return nil, nil, err
+	}
+	if remote, err = delta.Transform(r, pd, n, true); err != nil {
+		return nil, nil, err
+	}
+	return q, remote, nil
 }
 
 // SessionStats is the per-document view of the pipeline counters,
@@ -278,9 +318,11 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	return nil, nil
 }
 
-// pipeAck synthesizes the local save acknowledgment.
-func (e *Extension) pipeAck(req *http.Request, pl *plState, degraded bool) *http.Response {
-	resp := synthesize(req, http.StatusOK, gdocs.Ack{Version: pl.sv}.Encode())
+// pipeAck synthesizes the local save acknowledgment. remote, for a stale
+// save merged on ingest, is the delta the client applies to its working
+// copy to reach the merged text.
+func (e *Extension) pipeAck(req *http.Request, pl *plState, degraded bool, remote delta.Delta) *http.Response {
+	resp := synthesize(req, http.StatusOK, gdocs.Ack{Version: pl.sv, DeltaFromServer: remote.String()}.Encode())
 	if degraded {
 		resp.Header.Set(gdocs.HeaderDegraded, "1")
 	}
