@@ -89,8 +89,10 @@ type Codec interface {
 	// DecryptAll opens an existing container, verifying whatever the
 	// scheme can verify (RPC: nonce ring, aggregates, length). It primes
 	// the codec's internal state to continue incremental operation. This
-	// is the scheme's Dec function.
-	DecryptAll(prefix []byte, records [][]byte, trailer []byte) (blocks []*Block, err error)
+	// is the scheme's Dec function. records is the decoded body, n records
+	// of RecordBytes back to back; the codec adopts it as the blocks'
+	// record arena, so the caller must not reuse it.
+	DecryptAll(prefix []byte, records []byte, trailer []byte) (blocks []*Block, err error)
 
 	// Splice is the scheme's IncE step for one contiguous block-range
 	// replacement: the blocks `removed` are replaced by new blocks built
@@ -120,11 +122,12 @@ type Codec interface {
 }
 
 // Window is one changed run of a re-opened container: Records, decoded
-// but not yet opened, now stand where the blocks Removed stood, just
-// before the surviving block Right (nil when the run reaches the tail).
+// but not yet opened and laid out as DecryptAll's, now stand where the
+// blocks Removed stood, just before the surviving block Right (nil when
+// the run reaches the tail).
 type Window struct {
 	Removed []*Block
-	Records [][]byte
+	Records []byte
 	Right   *Block
 }
 

@@ -31,13 +31,21 @@ type Document struct {
 	codec        Codec
 	header       Header
 	blockChars   int
-	list         *skiplist.List[*Block]
 	schemePrefix []byte // codec prefix region (r0 record / start block)
 	trailer      []byte // codec trailer region (RPC checksum), may be nil
 
 	prefixChars  int // transport chars of header+scheme prefix
 	recordChars  int // transport chars per record
 	trailerChars int // transport chars of trailer
+
+	// list indexes the blocks by plaintext position (§V-C, Alg. 1). Only
+	// IncE and a re-open's window walk seek, so a whole-container load
+	// leaves it nil and keeps its blocks in order in loaded, their
+	// characters totalling loadedLen; index builds the list from them on
+	// first use. Exactly one of list and loaded holds the blocks.
+	list      *skiplist.List[*Block]
+	loaded    []*Block
+	loadedLen int
 
 	// spliceText is the reusable assembly buffer for splice replacement
 	// text (prefixPart + insertion + suffixPart). A Document is
@@ -88,8 +96,6 @@ func New(codec Codec, blockChars int, salt [SaltLen]byte, keyCheck [KeyCheckLen]
 	if codec.TrailerBytes() > 0 {
 		d.trailerChars = crypt.TransportLen(codec.TrailerBytes())
 	}
-	seed := crypt.Uint64(salt[:8])
-	d.list = skiplist.New[*Block](seed)
 	if err := d.LoadPlaintext(""); err != nil {
 		return nil, err
 	}
@@ -106,15 +112,58 @@ func (d *Document) SchemeName() string { return d.codec.Name() }
 func (d *Document) BlockChars() int { return d.blockChars }
 
 // Len returns the plaintext length in characters.
-func (d *Document) Len() int { return d.list.TotalPrimary() }
+func (d *Document) Len() int {
+	if d.list == nil {
+		return d.loadedLen
+	}
+	return d.list.TotalPrimary()
+}
 
 // Blocks returns the number of data blocks.
-func (d *Document) Blocks() int { return d.list.Len() }
+func (d *Document) Blocks() int {
+	if d.list == nil {
+		return len(d.loaded)
+	}
+	return d.list.Len()
+}
 
 // TransportLen returns the length in characters of the transport string,
 // without serializing it.
 func (d *Document) TransportLen() int {
-	return d.prefixChars + d.list.Len()*d.recordChars + d.trailerChars
+	return d.prefixChars + d.Blocks()*d.recordChars + d.trailerChars
+}
+
+// index returns the block skip list, building it from the blocks of the
+// last whole-container load on the first call after one.
+func (d *Document) index() *skiplist.List[*Block] {
+	if d.list == nil {
+		d.list, d.loaded = d.build(d.loaded), nil
+	}
+	return d.list
+}
+
+// build indexes blocks, in document order, in a new skip list.
+func (d *Document) build(blocks []*Block) *skiplist.List[*Block] {
+	builder := skiplist.NewBuilder[*Block](crypt.Uint64(d.header.Salt[:8]))
+	builder.Grow(len(blocks))
+	for _, b := range blocks {
+		builder.Append(b, len(b.Chars), d.recordChars)
+	}
+	return builder.List()
+}
+
+// each calls fn on every block in document order.
+func (d *Document) each(fn func(*Block)) {
+	if d.list == nil {
+		for _, b := range d.loaded {
+			fn(b)
+		}
+		return
+	}
+	_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
+		fn(blk)
+		return true
+	})
 }
 
 // chunk splits text into pieces of at most b characters. Every piece is
@@ -157,12 +206,7 @@ func (d *Document) LoadPlaintext(text string) error {
 	if err != nil {
 		return fmt.Errorf("blockdoc: encrypt all: %w", err)
 	}
-	builder := skiplist.NewBuilder[*Block](crypt.Uint64(d.header.Salt[:8]))
-	builder.Grow(len(blocks))
-	for _, b := range blocks {
-		builder.Append(b, len(b.Chars), d.recordChars)
-	}
-	d.list, d.churn = builder.List(), 0
+	d.list, d.loaded, d.churn = d.build(blocks), nil, 0
 	d.schemePrefix = prefix
 	d.trailer = trailer
 	d.transport, d.pending = "", nil
@@ -245,12 +289,11 @@ func (d *Document) load(transport string, wantDelta bool) (delta.Delta, error) {
 	if wantDelta {
 		pd = delta.Delta{delta.DeleteOp(d.Len()), delta.InsertOp(joinChars(blocks))}.Normalize()
 	}
-	builder := skiplist.NewBuilder[*Block](crypt.Uint64(h.Salt[:8]))
-	builder.Grow(len(blocks))
+	chars := 0
 	for _, b := range blocks {
-		builder.Append(b, len(b.Chars), d.recordChars)
+		chars += len(b.Chars)
 	}
-	d.list, d.churn = builder.List(), 0
+	d.list, d.loaded, d.loadedLen, d.churn = nil, blocks, chars, 0
 	d.header = h
 	d.schemePrefix = schemePrefix
 	d.trailer = trailerRaw
@@ -261,20 +304,19 @@ func (d *Document) load(transport string, wantDelta bool) (delta.Delta, error) {
 	return pd, nil
 }
 
-// decodeRecords decodes the n record slots of body from slot lo on into one
-// arena: each record is a strided sub-slice of a single backing array,
-// decoded in place with the zero-allocation transport decoder.
-func (d *Document) decodeRecords(body string, lo, n int) ([][]byte, error) {
+// decodeRecords decodes the n record slots of body from slot lo on, each
+// in place with the zero-allocation transport decoder, into one flat
+// buffer of n records back to back: the only copy of them the codec's Dec
+// kernel reads and the blocks keep.
+func (d *Document) decodeRecords(body string, lo, n int) ([]byte, error) {
 	rb, rc := d.codec.RecordBytes(), d.recordChars
 	raw := make([]byte, n*rb)
-	records := make([][]byte, n)
-	for i := range records {
-		records[i] = raw[i*rb : (i+1)*rb : (i+1)*rb]
-		if err := crypt.DecodeTransportInto(records[i], body[(lo+i)*rc:(lo+i+1)*rc]); err != nil {
+	for i := 0; i < n; i++ {
+		if err := crypt.DecodeTransportInto(raw[i*rb:(i+1)*rb], body[(lo+i)*rc:(lo+i+1)*rc]); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, lo+i, err)
 		}
 	}
-	return records, nil
+	return raw, nil
 }
 
 // joinChars concatenates the blocks' characters.
@@ -346,6 +388,7 @@ func (d *Document) reopen(transport string) (pd delta.Delta, done bool, err erro
 			return nil, false, nil
 		}
 	}
+	list := d.index()
 	windows := make([]Window, len(spans))
 	at := make([]int, len(spans)) // plaintext offset of each window
 	for w, sp := range spans {
@@ -354,10 +397,10 @@ func (d *Document) reopen(transport string) (pd delta.Delta, done bool, err erro
 			return nil, false, nil
 		}
 		at[w] = d.Len()
-		if pos, err := d.list.FindOrdinal(sp.oldLo); err == nil {
+		if pos, err := list.FindOrdinal(sp.oldLo); err == nil {
 			at[w] = pos.BeforeW1
 		}
-		_ = d.list.Each(sp.oldLo, func(ord int, blk *Block, _, _ int) bool {
+		_ = list.Each(sp.oldLo, func(ord int, blk *Block, _, _ int) bool {
 			if ord == sp.oldHi {
 				win.Right = blk
 				return false
@@ -382,19 +425,19 @@ func (d *Document) reopen(transport string) (pd delta.Delta, done bool, err erro
 		for _, b := range win.Removed {
 			del += len(b.Chars)
 		}
-		n := len(win.Records)
+		n := spans[w].newHi - spans[w].newLo
 		pd = append(pd, delta.RetainOp(at[w]-cursor), delta.DeleteOp(del), delta.InsertOp(joinChars(added[next:next+n])))
 		cursor, next = at[w]+del, next+n
 	}
 	for w := len(spans) - 1; w >= 0; w-- {
-		win, n := windows[w], len(windows[w].Records)
+		win, n := windows[w], spans[w].newHi-spans[w].newLo
 		for range win.Removed {
-			if _, _, _, err := d.list.DeleteAt(spans[w].oldLo); err != nil {
+			if _, _, _, err := list.DeleteAt(spans[w].oldLo); err != nil {
 				return nil, true, err
 			}
 		}
 		for i, blk := range added[len(added)-n:] {
-			if err := d.list.InsertAt(spans[w].oldLo+i, blk, len(blk.Chars), d.recordChars); err != nil {
+			if err := list.InsertAt(spans[w].oldLo+i, blk, len(blk.Chars), d.recordChars); err != nil {
 				return nil, true, err
 			}
 		}
@@ -405,7 +448,7 @@ func (d *Document) reopen(transport string) (pd delta.Delta, done bool, err erro
 	}
 	d.trailer = trailer
 	d.transport, d.pending = transport, nil
-	if d.churn += opened; d.churn > d.list.Len()/4 {
+	if d.churn += opened; d.churn > list.Len()/4 {
 		d.compact()
 	}
 	metricRecordsOpened.Add(int64(opened))
@@ -463,10 +506,7 @@ func resync(oldSlot, newSlot func(int) string, i, j *int, oldHi, newHi int) bool
 func (d *Document) Plaintext() string {
 	var b strings.Builder
 	b.Grow(d.Len())
-	_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
-		b.Write(blk.Chars)
-		return true
-	})
+	d.each(func(blk *Block) { b.Write(blk.Chars) })
 	return b.String()
 }
 
@@ -495,10 +535,9 @@ func (d *Document) serialize() string {
 	prefixRaw := append(d.header.encode(), d.schemePrefix...)
 	crypt.EncodeTransportInto(buf[:d.prefixChars], prefixRaw)
 	off := d.prefixChars
-	_ = d.list.Each(0, func(_ int, blk *Block, _, _ int) bool {
+	d.each(func(blk *Block) {
 		crypt.EncodeTransportInto(buf[off:off+d.recordChars], blk.Record)
 		off += d.recordChars
-		return true
 	})
 	if d.trailerChars > 0 {
 		crypt.EncodeTransportInto(buf[len(buf)-d.trailerChars:], d.trailer)

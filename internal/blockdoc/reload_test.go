@@ -64,7 +64,8 @@ func sameRing(x, y *blockdoc.Document, xn, yn *resetNonces, seed uint64) error {
 // reloadTape returns one of the remote edit tapes replayed into the
 // reloading document, for a document of n characters: edits at the head,
 // at the tail, over the whole document, down to and up from the empty
-// document, and deltas with several hunks.
+// document, deltas with several hunks, and a small hunk before one wider
+// than a 128-record tile of the RPC kernel, then that hunk's removal.
 func reloadTape(rng *rand.Rand, n int, name string) []delta.Delta {
 	word := func() string { return goldenText(rng, 1+rng.Intn(20)) }
 	length := n
@@ -101,6 +102,11 @@ func reloadTape(rng *rand.Rand, n int, name string) []delta.Delta {
 		add(delta.Delta{delta.InsertOp(word())})
 		add(delta.Delta{delta.DeleteOp(length)})
 		add(delta.Delta{delta.InsertOp(goldenText(rng, n))})
+	case "wide":
+		w := word()
+		at := 5 + len(w) + length/2
+		add(delta.Delta{delta.RetainOp(5), delta.DeleteOp(1), delta.InsertOp(w), delta.RetainOp(length / 2), delta.InsertOp(goldenText(rng, 1300))}.Normalize())
+		add(delta.Delta{delta.RetainOp(at), delta.DeleteOp(1300)})
 	default: // multi-hunk
 		for _, k := range []int{2, 5, 12} {
 			add(hunks(k))
@@ -118,7 +124,7 @@ func reloadTape(rng *rand.Rand, n int, name string) []delta.Delta {
 func TestReloadMatchesFreshLoad(t *testing.T) {
 	for _, scheme := range []string{"rECB", "RPC"} {
 		for _, b := range []int{4, 8} {
-			for _, name := range []string{"head", "tail", "whole", "empty", "multi-hunk"} {
+			for _, name := range []string{"head", "tail", "whole", "empty", "multi-hunk", "wide"} {
 				t.Run(fmt.Sprintf("%s/b=%d/%s", scheme, b, name), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(b*31 + len(name))))
 					text := goldenText(rng, 400*b)

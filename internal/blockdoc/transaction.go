@@ -72,7 +72,8 @@ func (d *Document) TransformDelta(pd delta.Delta) (cd delta.Delta, err error) {
 	if dropped := before - len(pd); dropped > 0 {
 		metricCoalescedOps.Add(int64(dropped))
 	}
-	t := &tx{doc: d, srcCount: d.list.Len()}
+	// The first edit after a whole-container load builds the index.
+	t := &tx{doc: d, srcCount: d.index().Len()}
 	cursor := 0
 	for i := 0; i < len(pd); i++ {
 		switch op := pd[i]; op.Kind {

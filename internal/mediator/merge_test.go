@@ -229,7 +229,7 @@ func TestStaleDeltaSaveCanonicalized(t *testing.T) {
 		}
 		sess := ext.sessionFor(docID)
 		sess.mu.Lock()
-		recorded := sess.pl.hist[len(sess.pl.hist)-1].wire
+		recorded := sess.pl.hist[len(sess.pl.hist)-1].delta
 		sess.mu.Unlock()
 		want := "-1\t=1\t+z"
 		if canon {

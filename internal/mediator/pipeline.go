@@ -122,12 +122,11 @@ type plState struct {
 	stats SessionStats
 }
 
-// plHist is one catch-up ring entry: the wire delta that took the local
-// view to version v.
+// plHist is one catch-up ring entry: the plaintext delta, in wire form,
+// that took the local view to version v.
 type plHist struct {
-	v int
-	//taint:clean ciphertext wire delta
-	wire string
+	v     int
+	delta string
 }
 
 const (
@@ -142,10 +141,10 @@ const (
 // recordHistLocked appends the delta behind the bump to pl.sv, evicting
 // from the front under the ring's caps. Callers hold sess.mu.
 func (pl *plState) recordHistLocked(wire string) {
-	pl.hist = append(pl.hist, plHist{v: pl.sv, wire: wire})
+	pl.hist = append(pl.hist, plHist{v: pl.sv, delta: wire})
 	pl.histBytes += len(wire)
 	for len(pl.hist) > maxPlHistEntries || pl.histBytes > maxPlHistBytes {
-		pl.histBytes -= len(pl.hist[0].wire)
+		pl.histBytes -= len(pl.hist[0].delta)
 		pl.hist = pl.hist[1:]
 	}
 }
@@ -169,7 +168,7 @@ func (pl *plState) deltasSinceLocked(since int) (deltas []string, ok bool) {
 	out := make([]string, 0, pl.sv-since)
 	for _, h := range pl.hist {
 		if h.v > since {
-			out = append(out, h.wire)
+			out = append(out, h.delta)
 		}
 	}
 	if len(out) != pl.sv-since {

@@ -2,10 +2,13 @@ package recb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"privedit/internal/blockdoc"
 	"privedit/internal/crypt"
@@ -75,10 +78,32 @@ func sameBlocks(t *testing.T, what string, got, want []*blockdoc.Block) {
 	}
 }
 
+// flatRecords lays the blocks' records back to back, as blockdoc decodes
+// a container body for DecryptAll.
+func flatRecords(blocks []*blockdoc.Block) []byte {
+	flat := make([]byte, 0, len(blocks)*recordBytes)
+	for _, b := range blocks {
+		flat = append(flat, b.Record...)
+	}
+	return flat
+}
+
+// allocBytes returns the heap bytes one run of f allocates, averaged over
+// runs.
+func allocBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestKernelCiphertextEquality pins the arena kernel to the per-block
 // oracle: EncryptAll yields the same prefix, records and nonces (and no
-// trailer), DecryptAll the same blocks, and a corrupt record the same
-// "record %d" error.
+// trailer), DecryptAll the same blocks, a corrupt record the same
+// "record %d" error, and a body cut mid-record the same error.
 func TestKernelCiphertextEquality(t *testing.T) {
 	for _, n := range kernelSizes {
 		chunks := kernelChunks(n)
@@ -96,10 +121,7 @@ func TestKernelCiphertextEquality(t *testing.T) {
 		}
 		sameBlocks(t, fmt.Sprintf("n=%d EncryptAll", n), blocks, wantBlocks)
 
-		records := make([][]byte, n)
-		for i, b := range blocks {
-			records[i] = b.Record
-		}
+		records := flatRecords(blocks)
 		got, err := kernel.DecryptAll(prefix, records, nil)
 		if err != nil {
 			t.Fatalf("n=%d: DecryptAll: %v", n, err)
@@ -114,14 +136,25 @@ func TestKernelCiphertextEquality(t *testing.T) {
 			continue
 		}
 		bad := n * 2 / 3
-		records[bad] = append([]byte{0}, records[bad][1:]...)
-		_, gotErr := kernel.DecryptAll(prefix, records, nil)
-		_, wantErr := oracle.oracleDecryptAll(prefix, records)
+		zeroed := bytes.Clone(records)
+		zeroed[bad*recordBytes] = 0
+		_, gotErr := kernel.DecryptAll(prefix, zeroed, nil)
+		_, wantErr := oracle.oracleDecryptAll(prefix, zeroed)
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("n=%d: corrupt record error %v, oracle %v", n, gotErr, wantErr)
 		}
 		if !strings.HasPrefix(gotErr.Error(), fmt.Sprintf("record %d: ", bad)) {
 			t.Fatalf("n=%d: corrupt record error %q does not name record %d", n, gotErr, bad)
+		}
+
+		cut := records[:len(records)-1]
+		_, gotErr = kernel.DecryptAll(prefix, cut, nil)
+		_, wantErr = oracle.oracleDecryptAll(prefix, cut)
+		if !errors.Is(gotErr, blockdoc.ErrCorrupt) || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("n=%d: cut body error %v, oracle %v", n, gotErr, wantErr)
+		}
+		if !strings.Contains(gotErr.Error(), "not a whole number of records") {
+			t.Fatalf("n=%d: cut body error %q", n, gotErr)
 		}
 	}
 }
@@ -176,10 +209,7 @@ func TestBatchedKernelAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	records := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		records[i] = b.Record
-	}
+	records := flatRecords(blocks)
 	decAllocs := testing.AllocsPerRun(5, func() {
 		if _, err := c.DecryptAll(prefix, records, trailer); err != nil {
 			t.Fatal(err)
@@ -202,6 +232,31 @@ func TestBatchedKernelAllocsBounded(t *testing.T) {
 	}
 	if spliceAllocs > 12 {
 		t.Errorf("one-block Splice: %.0f allocs, want <= 12", spliceAllocs)
+	}
+
+	// A 50,000-character document at b = 8, a cold open of editbench's
+	// open workload. The kernel opens the decoded records in place and
+	// adopts them as the blocks' arena, so it allocates what each block
+	// keeps (its characters, its Block and its pointer) and less than half
+	// a record per block more for size-class rounding. A copy of the
+	// records (6,250 x 17 B) fails the byte bound.
+	const big = 6250
+	prefix, blocks, trailer, err = c.EncryptAll(kernelChunks(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records = flatRecords(blocks)
+	open := func() {
+		if _, err := c.DecryptAll(prefix, records, trailer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, open); allocs > 32 {
+		t.Errorf("DecryptAll: %.0f allocs for %d blocks, want <= 32", allocs, big)
+	}
+	perBlock := uint64(maxChars + unsafe.Sizeof(blockdoc.Block{}) + unsafe.Sizeof(&blockdoc.Block{}))
+	if got, want := allocBytes(5, open), big*(perBlock+recordBytes/2); got > want {
+		t.Errorf("DecryptAll: %d bytes for %d blocks, want <= %d", got, big, want)
 	}
 }
 
@@ -227,10 +282,7 @@ func TestConcurrentCodecCalls(t *testing.T) {
 					errc <- fmt.Errorf("goroutine %d: EncryptAll: %w", g, err)
 					return
 				}
-				records := make([][]byte, len(blocks))
-				for i, b := range blocks {
-					records[i] = b.Record
-				}
+				records := flatRecords(blocks)
 				// A fresh codec proves the result is self-consistent no
 				// matter how the shared codec's r0 moved meanwhile.
 				dec, err := New(kernelKey(), crypt.CryptoNonceSource{})

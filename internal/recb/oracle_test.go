@@ -36,9 +36,6 @@ func (c *Codec) oracleEncryptBlock(chars []byte, r0, ri uint64) (*blockdoc.Block
 }
 
 func (c *Codec) oracleDecryptBlock(rec []byte, r0 uint64) (*blockdoc.Block, error) {
-	if len(rec) != recordBytes {
-		return nil, fmt.Errorf("%w: record of %d bytes", blockdoc.ErrCorrupt, len(rec))
-	}
 	count := int(rec[0])
 	if count < 1 || count > maxChars {
 		return nil, fmt.Errorf("%w: block count %d", blockdoc.ErrCorrupt, count)
@@ -80,15 +77,18 @@ func (c *Codec) oracleEncryptAll(chunks [][]byte) (prefix []byte, blocks []*bloc
 	return prefix, blocks, nil
 }
 
-func (c *Codec) oracleDecryptAll(prefix []byte, records [][]byte) ([]*blockdoc.Block, error) {
+func (c *Codec) oracleDecryptAll(prefix []byte, records []byte) ([]*blockdoc.Block, error) {
+	if len(records)%recordBytes != 0 {
+		return nil, fmt.Errorf("%w: %d record bytes are not a whole number of records", blockdoc.ErrCorrupt, len(records))
+	}
 	var pt [crypt.BlockSize]byte
 	if err := c.prp.Decrypt(pt[:], prefix); err != nil {
 		return nil, err
 	}
 	r0 := crypt.Uint64(pt[:8])
-	blocks := make([]*blockdoc.Block, len(records))
-	for i, rec := range records {
-		b, err := c.oracleDecryptBlock(rec, r0)
+	blocks := make([]*blockdoc.Block, len(records)/recordBytes)
+	for i := range blocks {
+		b, err := c.oracleDecryptBlock(records[i*recordBytes:(i+1)*recordBytes], r0)
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}

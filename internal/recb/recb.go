@@ -179,37 +179,45 @@ func (c *Codec) seal(chunks [][]byte, r0 uint64) ([]*blockdoc.Block, error) {
 	return blocks, nil
 }
 
-// open is the Dec kernel: it opens every record under the container nonce
-// r0 into one arena, checking each record's count and padding.
-func (c *Codec) open(records [][]byte, r0 uint64) ([]*blockdoc.Block, error) {
-	a := newArena(len(records))
-	blocks := make([]*blockdoc.Block, len(records))
+// open is the Dec kernel: it opens the windows' records in place under
+// the container nonce r0, checking each record's count and padding, and
+// numbers them across the windows. The blocks' records slice into the
+// windows' buffers, adopted as the arena; their characters share one.
+func (c *Codec) open(windows []blockdoc.Window, r0 uint64) ([]*blockdoc.Block, error) {
+	n := 0
+	for _, win := range windows {
+		if len(win.Records)%recordBytes != 0 {
+			return nil, fmt.Errorf("%w: %d record bytes are not a whole number of records", blockdoc.ErrCorrupt, len(win.Records))
+		}
+		n += len(win.Records) / recordBytes
+	}
+	a := arena{chars: make([]byte, n*maxChars), slab: make([]blockdoc.Block, n)}
+	blocks := make([]*blockdoc.Block, n)
 	var pt [crypt.BlockSize]byte
-	for i, rec := range records {
-		if len(rec) != recordBytes {
-			return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
-		}
-		count := int(rec[0])
-		if count < 1 || count > maxChars {
-			return nil, fmt.Errorf("record %d: %w: block count %d", i, blockdoc.ErrCorrupt, count)
-		}
-		if err := c.prp.Decrypt(pt[:], rec[1:]); err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		ri := crypt.Uint64(pt[:8]) ^ r0
-		d := crypt.Uint64(pt[8:]) ^ ri
-		crypt.PutUint64(pt[8:], d)
-		for _, b := range pt[8+count:] {
-			if b != 0 {
-				return nil, fmt.Errorf("record %d: %w: nonzero block padding", i, blockdoc.ErrCorrupt)
+	i := 0
+	for _, win := range windows {
+		for off := 0; off < len(win.Records); off, i = off+recordBytes, i+1 {
+			rec := win.Records[off : off+recordBytes : off+recordBytes]
+			count := int(rec[0])
+			if count < 1 || count > maxChars {
+				return nil, fmt.Errorf("record %d: %w: block count %d", i, blockdoc.ErrCorrupt, count)
 			}
+			if err := c.prp.Decrypt(pt[:], rec[1:]); err != nil {
+				return nil, fmt.Errorf("record %d: %w", i, err)
+			}
+			ri := crypt.Uint64(pt[:8]) ^ r0
+			d := crypt.Uint64(pt[8:]) ^ ri
+			crypt.PutUint64(pt[8:], d)
+			for _, b := range pt[8+count:] {
+				if b != 0 {
+					return nil, fmt.Errorf("record %d: %w: nonzero block padding", i, blockdoc.ErrCorrupt)
+				}
+			}
+			chars := a.charSlot(i, count)
+			copy(chars, pt[8:8+count])
+			a.slab[i] = blockdoc.Block{Chars: chars, Record: rec, Nonce: ri}
+			blocks[i] = &a.slab[i]
 		}
-		chars := a.charSlot(i, count)
-		copy(chars, pt[8:8+count])
-		recOwn := a.rec(i)
-		copy(recOwn, rec)
-		a.slab[i] = blockdoc.Block{Chars: chars, Record: recOwn, Nonce: ri}
-		blocks[i] = &a.slab[i]
 	}
 	return blocks, nil
 }
@@ -233,7 +241,7 @@ func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.B
 
 // DecryptAll implements blockdoc.Codec. rECB can verify structure (counts,
 // padding) but, by design, not integrity.
-func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*blockdoc.Block, error) {
+func (c *Codec) DecryptAll(prefix []byte, records []byte, trailer []byte) ([]*blockdoc.Block, error) {
 	if len(prefix) != prefixBytes {
 		return nil, fmt.Errorf("%w: prefix of %d bytes", blockdoc.ErrCorrupt, len(prefix))
 	}
@@ -248,7 +256,7 @@ func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*
 		return nil, fmt.Errorf("%w: nonzero r0 padding", blockdoc.ErrCorrupt)
 	}
 	r0 := crypt.Uint64(pt[:8])
-	blocks, err := c.open(records, r0)
+	blocks, err := c.open([]blockdoc.Window{{Records: records}}, r0)
 	if err != nil {
 		return nil, err
 	}
@@ -279,9 +287,5 @@ func (c *Codec) Reopen(prefix []byte, windows []blockdoc.Window, trailer []byte)
 	if len(trailer) != 0 {
 		return nil, fmt.Errorf("%w: unexpected trailer", blockdoc.ErrCorrupt)
 	}
-	var records [][]byte
-	for _, win := range windows {
-		records = append(records, win.Records...)
-	}
-	return c.open(records, c.snapshotR0())
+	return c.open(windows, c.snapshotR0())
 }

@@ -1,6 +1,7 @@
 package recb
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -61,10 +62,7 @@ func TestEncryptDecryptAll(t *testing.T) {
 	if trailer != nil {
 		t.Error("rECB produced a trailer")
 	}
-	records := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		records[i] = b.Record
-	}
+	records := flatRecords(blocks)
 	c2 := newCodec(t, 99)
 	got, err := c2.DecryptAll(prefix, records, nil)
 	if err != nil {
@@ -89,7 +87,7 @@ func TestPaperStructure(t *testing.T) {
 		t.Fatalf("EncryptAll: %v", err)
 	}
 	c2 := newCodec(t, 77)
-	got, err := c2.DecryptAll(prefix, [][]byte{blocks[1].Record}, nil)
+	got, err := c2.DecryptAll(prefix, blocks[1].Record, nil)
 	if err != nil {
 		t.Fatalf("single-block DecryptAll: %v", err)
 	}
@@ -115,7 +113,7 @@ func TestSubstitutionAttackUndetected(t *testing.T) {
 	records := [][]byte{blocks[0].Record, blocks[1].Record, blocks[2].Record, blocks[3].Record}
 	records[1], records[2] = records[2], records[1] // malicious swap
 	c2 := newCodec(t, 88)
-	got, err := c2.DecryptAll(prefix, records, nil)
+	got, err := c2.DecryptAll(prefix, bytes.Join(records, nil), nil)
 	if err != nil {
 		t.Fatalf("swap detected, but rECB should not detect it: %v", err)
 	}
@@ -142,7 +140,7 @@ func TestBitFlipIsGarbledNotDetected(t *testing.T) {
 	rec := append([]byte(nil), blocks[0].Record...)
 	rec[5] ^= 0x01
 	c2 := newCodec(t, 66)
-	got, err := c2.DecryptAll(prefix, [][]byte{rec}, nil)
+	got, err := c2.DecryptAll(prefix, rec, nil)
 	if err == nil && string(got[0].Chars) == "tamperme" {
 		t.Error("bit flip decrypted to the original plaintext")
 	}
@@ -159,14 +157,15 @@ func TestDecryptAllRejectsStructuralDamage(t *testing.T) {
 	tests := []struct {
 		name    string
 		prefix  []byte
-		records [][]byte
+		records []byte
 		trailer []byte
 	}{
-		{"short prefix", prefix[:10], [][]byte{rec}, nil},
-		{"unexpected trailer", prefix, [][]byte{rec}, []byte{1, 2, 3}},
-		{"short record", prefix, [][]byte{rec[:5]}, nil},
-		{"zero count", prefix, [][]byte{append([]byte{0}, rec[1:]...)}, nil},
-		{"oversized count", prefix, [][]byte{append([]byte{9}, rec[1:]...)}, nil},
+		{"short prefix", prefix[:10], rec, nil},
+		{"unexpected trailer", prefix, rec, []byte{1, 2, 3}},
+		{"part of a record", prefix, rec[:5], nil},
+		{"record and a part", prefix, append(bytes.Clone(rec), rec[:5]...), nil},
+		{"zero count", prefix, append([]byte{0}, rec[1:]...), nil},
+		{"oversized count", prefix, append([]byte{9}, rec[1:]...), nil},
 	}
 	for _, tc := range tests {
 		c2 := newCodec(t, 55)
@@ -237,10 +236,7 @@ func TestWrongKeyFailsOrGarbles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	records := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		records[i] = b.Record
-	}
+	records := flatRecords(blocks)
 	got, err := c2.DecryptAll(prefix, records, nil)
 	if err == nil {
 		var sb strings.Builder

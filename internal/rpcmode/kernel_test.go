@@ -2,10 +2,13 @@ package rpcmode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"privedit/internal/blockdoc"
 	"privedit/internal/crypt"
@@ -75,10 +78,33 @@ func sameBlocks(t *testing.T, what string, got, want []*blockdoc.Block) {
 	}
 }
 
+// flatRecords lays the blocks' records back to back, as blockdoc decodes
+// a container body for DecryptAll.
+func flatRecords(blocks []*blockdoc.Block) []byte {
+	flat := make([]byte, 0, len(blocks)*recordBytes)
+	for _, b := range blocks {
+		flat = append(flat, b.Record...)
+	}
+	return flat
+}
+
+// allocBytes returns the heap bytes one run of f allocates, averaged over
+// runs.
+func allocBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestKernelCiphertextEquality pins the tiled arena kernel to the
 // per-block oracle: EncryptAll yields the same start block, records,
 // nonces and checksum trailer, DecryptAll the same blocks and ring state,
-// and a corrupt record the same error naming the same record.
+// a corrupt record the same error naming the same record, and a body cut
+// mid-record the same error.
 func TestKernelCiphertextEquality(t *testing.T) {
 	for _, n := range kernelSizes {
 		chunks := kernelChunks(n)
@@ -96,10 +122,7 @@ func TestKernelCiphertextEquality(t *testing.T) {
 		}
 		sameBlocks(t, fmt.Sprintf("n=%d EncryptAll", n), blocks, wantBlocks)
 
-		records := make([][]byte, n)
-		for i, b := range blocks {
-			records[i] = b.Record
-		}
+		records := flatRecords(blocks)
 		got, err := kernel.DecryptAll(prefix, records, trailer)
 		if err != nil {
 			t.Fatalf("n=%d: DecryptAll: %v", n, err)
@@ -117,16 +140,25 @@ func TestKernelCiphertextEquality(t *testing.T) {
 			continue
 		}
 		bad := n * 2 / 3
-		flipped := append([]byte(nil), records[bad]...)
-		flipped[5] ^= 0x40
-		records[bad] = flipped
-		_, gotErr := kernel.DecryptAll(prefix, records, trailer)
-		_, wantErr := oracle.oracleDecryptAll(prefix, records, trailer)
+		flipped := bytes.Clone(records)
+		flipped[bad*recordBytes+5] ^= 0x40
+		_, gotErr := kernel.DecryptAll(prefix, flipped, trailer)
+		_, wantErr := oracle.oracleDecryptAll(prefix, flipped, trailer)
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("n=%d: corrupt record error %v, oracle %v", n, gotErr, wantErr)
 		}
 		if !strings.Contains(gotErr.Error(), fmt.Sprintf("record %d ", bad)) {
 			t.Fatalf("n=%d: corrupt record error %q does not name record %d", n, gotErr, bad)
+		}
+
+		cut := records[:len(records)-1]
+		_, gotErr = kernel.DecryptAll(prefix, cut, trailer)
+		_, wantErr = oracle.oracleDecryptAll(prefix, cut, trailer)
+		if !errors.Is(gotErr, blockdoc.ErrCorrupt) || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("n=%d: cut body error %v, oracle %v", n, gotErr, wantErr)
+		}
+		if !strings.Contains(gotErr.Error(), "not a whole number of records") {
+			t.Fatalf("n=%d: cut body error %q", n, gotErr)
 		}
 	}
 }
@@ -190,10 +222,7 @@ func TestBatchedKernelAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	records := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		records[i] = b.Record
-	}
+	records := flatRecords(blocks)
 	decAllocs := testing.AllocsPerRun(5, func() {
 		if _, err := c.DecryptAll(prefix, records, trailer); err != nil {
 			t.Fatal(err)
@@ -220,6 +249,32 @@ func TestBatchedKernelAllocsBounded(t *testing.T) {
 	if spliceAllocs > 12 {
 		t.Errorf("one-block Splice: %.0f allocs, want <= 12", spliceAllocs)
 	}
+
+	// A 50,000-character document at b = 8, a cold open of editbench's
+	// open workload. The kernel adopts the decoded records as the blocks'
+	// arena, so it allocates what each block keeps (its characters, its
+	// Block and its pointer) and less than half a record per block more:
+	// size-class rounding, the tile buffer, and the pooled scratch the race
+	// detector drops. A copy of the records (6,250 x 32 B) fails the byte
+	// bound.
+	const big = 6250
+	prefix, blocks, trailer, err = c.EncryptAll(kernelChunks(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records = flatRecords(blocks)
+	open := func() {
+		if _, err := c.DecryptAll(prefix, records, trailer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, open); allocs > 32 {
+		t.Errorf("DecryptAll: %.0f allocs for %d blocks, want <= 32", allocs, big)
+	}
+	perBlock := uint64(maxChars + unsafe.Sizeof(blockdoc.Block{}) + unsafe.Sizeof(&blockdoc.Block{}))
+	if got, want := allocBytes(5, open), big*(perBlock+recordBytes/2); got > want {
+		t.Errorf("DecryptAll: %d bytes for %d blocks, want <= %d", got, big, want)
+	}
 }
 
 // TestConcurrentCodecCalls pins the codec mutex under -race: one codec
@@ -244,10 +299,7 @@ func TestConcurrentCodecCalls(t *testing.T) {
 					errc <- fmt.Errorf("goroutine %d: EncryptAll: %w", g, err)
 					return
 				}
-				records := make([][]byte, len(blocks))
-				for i, b := range blocks {
-					records[i] = b.Record
-				}
+				records := flatRecords(blocks)
 				// A fresh codec proves the result is a self-consistent ring
 				// no matter how the shared codec's state moved meanwhile.
 				dec, err := New(kernelKey(), crypt.CryptoNonceSource{})

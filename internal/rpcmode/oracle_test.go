@@ -77,15 +77,20 @@ func (c *Codec) oracleEncryptAll(chunks [][]byte) (prefix []byte, blocks []*bloc
 	return prefix, blocks, trailer, nil
 }
 
-func (c *Codec) oracleDecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*blockdoc.Block, error) {
+func (c *Codec) oracleDecryptAll(prefix []byte, records []byte, trailer []byte) ([]*blockdoc.Block, error) {
 	f0, _, _, f3, err := c.openRecord(prefix)
 	if err != nil {
 		return nil, err
 	}
-	st := ringState{r0: f0, xorAllR: f0, count: uint64(len(records))}
+	if len(records)%recordBytes != 0 {
+		return nil, fmt.Errorf("%w: %d record bytes are not a whole number of records", blockdoc.ErrCorrupt, len(records))
+	}
+	n := len(records) / recordBytes
+	st := ringState{r0: f0, xorAllR: f0, count: uint64(n)}
 	expected := f3
-	blocks := make([]*blockdoc.Block, len(records))
-	for i, rec := range records {
+	blocks := make([]*blockdoc.Block, n)
+	for i := range blocks {
+		rec := records[i*recordBytes : (i+1)*recordBytes]
 		ri, d, m, next, err := c.openRecord(rec)
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)

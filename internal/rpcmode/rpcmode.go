@@ -312,7 +312,7 @@ func (c *Codec) EncryptAll(chunks [][]byte) (prefix []byte, blocks []*blockdoc.B
 // verification: start marker, nonce ring closure, per-block structure,
 // and the checksum block including the document length. It is Reopen's
 // check on a fresh ring, with every record in one window.
-func (c *Codec) DecryptAll(prefix []byte, records [][]byte, trailer []byte) ([]*blockdoc.Block, error) {
+func (c *Codec) DecryptAll(prefix []byte, records []byte, trailer []byte) ([]*blockdoc.Block, error) {
 	return c.verify(nil, prefix, []blockdoc.Window{{Records: records}}, trailer)
 }
 
@@ -335,10 +335,12 @@ func (c *Codec) Reopen(prefix []byte, windows []blockdoc.Window, trailer []byte)
 // verify is the Dec kernel. It opens the windows' records against held,
 // the ring state of the held container (nil for a fresh ring, whose r0
 // the start block gives), and publishes the new state once every check
-// passes. Opening the records — the wide-PRP inversion, one tile at a
-// time — is the expensive step. Each window's records are copied into a
-// retained arena, and a second copy is decrypted in pts, where the ring
-// verification reads the fields. That verification is inherently
+// passes. Opening the records — the wide-PRP inversion — is the expensive
+// step. It runs one 4 KiB tile at a time: the tile's records are copied
+// into one per-call tile buffer (smaller for a small window) and
+// decrypted there, where the ring
+// verification reads the fields, while the blocks' records stay in the
+// window's buffer, adopted as the arena. That verification is inherently
 // sequential: each record's nonce must equal the previous next pointer.
 func (c *Codec) verify(held *ringState, prefix []byte, windows []blockdoc.Window, trailer []byte) ([]*blockdoc.Block, error) {
 	var st ringState
@@ -366,6 +368,7 @@ func (c *Codec) verify(held *ringState, prefix []byte, windows []blockdoc.Window
 		head = f3
 	}
 	var added []*blockdoc.Block
+	var tileBuf []byte
 	for w, win := range windows {
 		target := st.r0
 		if win.Right != nil {
@@ -383,26 +386,26 @@ func (c *Codec) verify(held *ringState, prefix []byte, windows []blockdoc.Window
 			st.xorRTail ^= b.Nonce
 			st.xorD ^= padChars(b.Chars)
 		}
-		n := len(win.Records)
+		if len(win.Records)%recordBytes != 0 {
+			return nil, fmt.Errorf("%w: %d record bytes are not a whole number of records", blockdoc.ErrCorrupt, len(win.Records))
+		}
+		n := len(win.Records) / recordBytes
+		if need := min(n, wideRunBlocks) * recordBytes; len(tileBuf) < need {
+			tileBuf = make([]byte, need)
+		}
 		st.count += uint64(n) - uint64(len(win.Removed))
 		added = slices.Grow(added, n)
-		a := newArena(n)
-		for i, rec := range win.Records {
-			if len(rec) != recordBytes {
-				return nil, fmt.Errorf("record %d: %w: record of %d bytes", i, blockdoc.ErrCorrupt, len(rec))
-			}
-			copy(a.rec(i), rec)
-		}
-		pts := make([]byte, n*recordBytes)
-		copy(pts, a.recs)
-		for tile := 0; tile < n; tile += wideRunBlocks {
-			end := min(tile+wideRunBlocks, n)
-			if err := c.wide.DecryptRun(pts[tile*recordBytes : end*recordBytes]); err != nil {
-				return nil, err
-			}
-		}
+		a := arena{recs: win.Records, chars: make([]byte, n*maxChars), slab: make([]blockdoc.Block, n)}
+		var pts []byte
 		for i := 0; i < n; i++ {
-			pt := pts[i*recordBytes : (i+1)*recordBytes]
+			k := i % wideRunBlocks
+			if k == 0 {
+				pts = tileBuf[:copy(tileBuf, a.recs[i*recordBytes:])]
+				if err := c.wide.DecryptRun(pts); err != nil {
+					return nil, err
+				}
+			}
+			pt := pts[k*recordBytes : (k+1)*recordBytes]
 			ri := crypt.Uint64(pt[0:8])
 			d := crypt.Uint64(pt[8:16])
 			typ, count, rest := unpackMeta(crypt.Uint64(pt[16:24]))

@@ -1,6 +1,7 @@
 package rpcmode
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -48,8 +49,10 @@ func encryptDoc(t *testing.T, c *Codec, text string, b int) ([]byte, [][]byte, [
 	return prefix, records, trailer
 }
 
+// decryptDoc opens the records laid back to back, as blockdoc decodes a
+// container body.
 func decryptDoc(c *Codec, prefix []byte, records [][]byte, trailer []byte) (string, error) {
-	blocks, err := c.DecryptAll(prefix, records, trailer)
+	blocks, err := c.DecryptAll(prefix, bytes.Join(records, nil), trailer)
 	if err != nil {
 		return "", err
 	}

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Coverage gate: the packages that hold the correctness-critical logic —
-# the crypto core, the skip-list indices, the delta algebra, the
-# mediating extension (including the PR-4 resilience stack), the
-# observability layer (metrics + request tracing), the WAL/snapshot
-# persistence layer, and the serving store it backs — must each
-# keep at least MIN_COVER% statement coverage. CI fails the build below
+# the crypto core (the editor API, the block-document engine, the rECB
+# and RPC codecs and their primitives), the skip-list indices, the delta
+# algebra, the mediating extension (including its resilience stack),
+# the observability layer (metrics + request tracing), the WAL/snapshot
+# persistence layer, and the serving store it backs — must each keep at
+# least MIN_COVER% statement coverage. CI fails the build below
 # the floor, so new code in these packages ships with tests or not at all.
 #
 # Usage: scripts/coverage_gate.sh [min_percent]
@@ -15,6 +16,10 @@ GO="${GO:-go}"
 
 PACKAGES="
 privedit/internal/core
+privedit/internal/blockdoc
+privedit/internal/rpcmode
+privedit/internal/recb
+privedit/internal/crypt
 privedit/internal/skiplist
 privedit/internal/delta
 privedit/internal/mediator
