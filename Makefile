@@ -114,9 +114,10 @@ ot-smoke:
 		|| { echo "ot-smoke: $$resyncs client resyncs for $$edits edits, want at most 0.1 per edit"; exit 1; }
 	@echo "ot-smoke: coedit correct, every conflict transform-merged, stale client saves merged in the extension"
 
-# Short traced chaos run: concurrent resilient sessions through a seeded
-# fault storm, with per-document convergence verification (the run fails
-# if any document diverges, and if tracing attributed nothing). Spans are
+# Short traced chaos run: concurrent sessions, whose writers re-send failed
+# saves, through a seeded fault storm, with per-document convergence
+# verification (the run fails if any document diverges, and if tracing
+# attributed nothing). Spans are
 # exported as JSONL, and the artifact is checked for a per-phase latency
 # breakdown. The seed fixes the request stream, so its request, drop,
 # lost-response and 429 counts must equal the committed BENCH_chaos.json

@@ -56,9 +56,6 @@ func main() {
 	mitigate := flag.Bool("mitigate", false, "enable covert-channel mitigations")
 	useStego := flag.Bool("stego", false, "store the document as word prose instead of Base32")
 	metricsDump := flag.String("metrics-dump", "", "on exit, write Prometheus text metrics to this path (\"-\" for stdout)")
-	resilient := flag.Bool("resilient", false, "retry failed round trips with jittered backoff")
-	retries := flag.Int("retries", 0, "with -resilient: max attempts per request (0 = default)")
-	tryTimeout := flag.Duration("try-timeout", 0, "with -resilient: per-attempt deadline (0 = none)")
 	traceOut := flag.String("trace-out", "", "append completed operation traces to this JSONL file (\"-\" for stderr)")
 	slowSpan := flag.Duration("slow-span", 0, "enable tracing and log spans slower than this threshold (0 = off)")
 	flag.Parse()
@@ -101,14 +98,6 @@ func main() {
 	var extOpts []mediator.Option
 	if *useStego {
 		extOpts = append(extOpts, mediator.WithStego())
-	}
-	if *resilient {
-		res := mediator.DefaultResilience()
-		if *retries > 0 {
-			res.Retry.MaxAttempts = *retries
-		}
-		res.Retry.TryTimeout = *tryTimeout
-		extOpts = append(extOpts, mediator.WithResilience(res))
 	}
 	ext := mediator.New(http.DefaultTransport, mediator.StaticPassword(*password, opts), append([]mediator.Option{mediator.WithMitigator(mit)}, extOpts...)...)
 	client := gdocs.NewClient(ext.Client(), *base, *docID)

@@ -18,7 +18,7 @@
 //
 // Tracing is on by default: every chaos operation runs under a root span,
 // and the artifact gains a per-phase latency breakdown (load/decrypt/diff/
-// transform/encrypt/save/retry/resync, p50+p95, split conflict vs clean).
+// transform/encrypt/save/merge/resync, p50+p95, split conflict vs clean).
 // -trace-out streams every collected trace as JSON lines; -trace=false
 // turns all of it off.
 //
@@ -179,8 +179,8 @@ func runChaos(cfg bench.ChaosConfig, jsonPath string) {
 		report.Ops, report.OpErrors, report.Reloads, report.DurationS)
 	fmt.Printf("  faults     %d/%d requests: %d drops, %d lost responses, %d 5xx, %d 429, %d timeouts, %d corruptions, %d jitter spikes\n",
 		f.Injected(), f.Requests, f.Drops, f.DropResponses, f.Errors5xx, f.Throttles, f.Timeouts, f.Corruptions, f.JitterSpikes)
-	fmt.Printf("  mediator   %d retries (%d giveups), %d degraded saves, %d degraded loads\n",
-		report.Retries, report.RetryGiveups, report.DegradedSaves, report.DegradedLoads)
+	fmt.Printf("  mediator   %d retries, %d degraded saves, %d degraded loads\n",
+		report.Retries, report.DegradedSaves, report.DegradedLoads)
 	fmt.Printf("  pipeline   %d queued saves, %d OT merges, %d conflict resyncs, %d dropped\n",
 		report.QueuedSaves, report.OTMerges, report.ConflictResyncs, report.DroppedSaves)
 	fmt.Printf("  converged  %d/%d docs\n", report.ConvergedDocs, report.ConvergedDocs+report.DivergedDocs)

@@ -1,7 +1,7 @@
 // Chaos harness: RunChaos asks "does the stack stay *correct* when the
 // cloud misbehaves" (throughput and latency are editbench's business). It
-// drives concurrent editing sessions through a mediating extension with
-// the resilience stack enabled, over a seed-driven netsim.FaultTransport
+// drives concurrent editing sessions through a mediating extension, whose
+// writer re-sends failed saves, over a seed-driven netsim.FaultTransport
 // injecting drops, 5xx/429s, timeouts, and corruption — then verifies that
 // every document's stored ciphertext still decrypts, and that a fresh
 // mediated session sees exactly what an independent decrypt of the stored
@@ -59,12 +59,9 @@ type ChaosConfig struct {
 	Seed int64
 	// Fault is the injected-fault profile. Zero rates mean a clean run.
 	Fault netsim.FaultProfile
-	// Resilience configures the mediator's retry policy. The zero value
-	// gets fast test-friendly defaults.
-	Resilience mediator.Resilience
 	// Trace enables request-scoped tracing for the storm phase and adds a
-	// per-phase latency breakdown (including retry and resync time under
-	// fault injection) to the report. Tracing never participates in the
+	// per-phase latency breakdown (including resync time under fault
+	// injection) to the report. Tracing never participates in the
 	// determinism contract: DeterministicKey pins only fault/op counts.
 	Trace bool
 	// TraceSink, when non-nil and Trace is on, additionally receives every
@@ -91,14 +88,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Fault.Seed == 0 {
 		c.Fault.Seed = c.Seed
 	}
-	if c.Resilience.Retry.MaxAttempts <= 0 {
-		c.Resilience.Retry = mediator.RetryPolicy{
-			MaxAttempts: 3,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  10 * time.Millisecond,
-			Seed:        c.Seed,
-		}
-	}
 	return c
 }
 
@@ -121,7 +110,6 @@ type ChaosReport struct {
 	Faults netsim.FaultStats `json:"faults"`
 
 	Retries         int `json:"mediator_retries"`
-	RetryGiveups    int `json:"mediator_retry_giveups"`
 	DegradedSaves   int `json:"mediator_degraded_saves"`
 	DegradedLoads   int `json:"mediator_degraded_loads"`
 	QueuedSaves     int `json:"queued_saves"`
@@ -151,7 +139,7 @@ func (r ChaosReport) DeterministicKey() ([]byte, error) {
 }
 
 // RunChaos stands up a gdocs server behind a fault-injecting transport,
-// drives cfg.Sessions resilient mediated sessions through the storm, then
+// drives cfg.Sessions mediated sessions through the storm, then
 // lifts the faults and verifies convergence document by document.
 func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	cfg = cfg.withDefaults()
@@ -180,8 +168,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	faults.SetEnabled(false) // clean network while seeding
 
 	opts := core.Options{Scheme: cfg.Scheme, BlockChars: cfg.BlockChars}
-	ext := mediator.New(faults, mediator.StaticPassword("chaos-pw", opts),
-		mediator.WithResilience(cfg.Resilience))
+	ext := mediator.New(faults, mediator.StaticPassword("chaos-pw", opts))
 	httpc := ext.Client()
 
 	// Seed every document over the clean network.
@@ -325,7 +312,6 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		Faults: faultStats,
 
 		Retries:         stats.Retries,
-		RetryGiveups:    stats.RetryGiveups,
 		DegradedSaves:   stats.DegradedSaves,
 		DegradedLoads:   stats.DegradedLoads,
 		QueuedSaves:     stats.QueuedSaves,

@@ -1,7 +1,7 @@
 // Phase attribution: turning the flight of spans a harness run collects
 // into a per-phase latency breakdown that answers "where did an
 // operation's time go" — load vs decrypt vs transform vs encrypt vs save
-// vs retry vs resync — split by whether the operation hit a version
+// vs merge vs resync — split by whether the operation hit a version
 // conflict.
 package bench
 
@@ -12,8 +12,8 @@ import (
 )
 
 // PhaseStat summarizes one edit phase across the operations that ran it.
-// Quantiles are over the per-operation totals (an operation that retried
-// three times contributes the sum of its three retry spans once), by the
+// Quantiles are over the per-operation totals (an operation that ran a
+// phase three times contributes the sum of its three spans once), by the
 // nearest-rank method of Sample.Percentile.
 type PhaseStat struct {
 	Phase   string  `json:"phase"`

@@ -30,10 +30,10 @@ func TestAggregatePhases(t *testing.T) {
 			trace.SpanSave:    {10 * ms},
 			trace.SpanEncrypt: {2 * ms},
 		}),
-		// Conflict op: two retry spans sum into one per-op observation.
+		// Conflict op: two merge spans sum into one per-op observation.
 		phaseTrace(trace.SpanEditOp, true, map[string][]int64{
 			trace.SpanSave:   {30 * ms},
-			trace.SpanRetry:  {5 * ms, 7 * ms},
+			trace.SpanMerge:  {5 * ms, 7 * ms},
 			trace.SpanResync: {4 * ms},
 		}),
 		// Non-operation roots are skipped.
@@ -58,8 +58,8 @@ func TestAggregatePhases(t *testing.T) {
 	if s := find(b.Clean, trace.SpanSave); s.Count != 1 || s.P50Ms != 10 || s.P95Ms != 10 {
 		t.Fatalf("clean save stat: %+v", s)
 	}
-	if s := find(b.Conflict, trace.SpanRetry); s.Count != 1 || s.P50Ms != 12 {
-		t.Fatalf("conflict retry stat (want summed 12ms): %+v", s)
+	if s := find(b.Conflict, trace.SpanMerge); s.Count != 1 || s.P50Ms != 12 {
+		t.Fatalf("conflict merge stat (want summed 12ms): %+v", s)
 	}
 	if s := find(b.Conflict, trace.SpanResync); s.TotalMs != 4 {
 		t.Fatalf("conflict resync stat: %+v", s)
@@ -78,8 +78,8 @@ func TestAggregatePhases(t *testing.T) {
 
 // TestRunChaosTraced exercises the traced chaos path end to end: real
 // spans from client, mediator, and server aggregate into a non-empty
-// breakdown with the edit phases present and plausible, retry time is
-// attributed, and the tracer's enabled state is restored afterwards.
+// breakdown with the edit phases present and plausible, and the tracer's
+// enabled state is restored afterwards.
 func TestRunChaosTraced(t *testing.T) {
 	rep, err := RunChaos(ChaosConfig{
 		Sessions:      2,
@@ -117,15 +117,6 @@ func TestRunChaosTraced(t *testing.T) {
 		if !seen {
 			t.Errorf("clean breakdown missing phase %q (got %v)", p, phases)
 		}
-	}
-	found := false
-	for _, s := range append(append([]PhaseStat(nil), rep.Phases.Clean...), rep.Phases.Conflict...) {
-		if s.Phase == trace.SpanRetry && s.Count > 0 {
-			found = true
-		}
-	}
-	if !found && rep.Retries > 0 {
-		t.Fatalf("mediator retried %d times but no retry phase in %+v", rep.Retries, rep.Phases)
 	}
 	if trace.Default.Enabled() {
 		t.Fatal("RunChaos leaked the enabled tracer state")

@@ -32,8 +32,8 @@ func chaosStorm(seed int64) netsim.FaultProfile {
 }
 
 // TestChaosSharedDocConvergence is the tentpole end-to-end proof: two
-// concurrent sessions fight over ONE document through a resilient
-// extension while a seeded fault storm (>20% request failures) eats their
+// concurrent sessions fight over ONE document through the extension,
+// whose writer re-sends failed saves, while a seeded fault storm (>20% request failures) eats their
 // traffic — drops, lost responses, 5xx, 429, timeouts, corruption. Every
 // op waits for its durable ack while the faults are on, so the storm
 // reaches every save. After the storm lifts and the queue drains, both
@@ -56,10 +56,7 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 
 	const password = "chaos-e2e-pw"
 	ext := mediator.New(faults,
-		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}),
-		mediator.WithResilience(mediator.Resilience{
-			Retry: mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 1},
-		}))
+		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}))
 
 	const docID = "chaos-shared-doc"
 	seed := gdocs.NewClient(ext.Client(), ts.URL, docID)
@@ -194,8 +191,8 @@ func TestChaosSharedDocConvergence(t *testing.T) {
 }
 
 // TestChaosDistinctDocsUnderStorm drives the library chaos path the CLI
-// uses (bench.RunChaos exercises it separately); here we pin that a
-// resilient extension serving several documents through one storm keeps
+// uses (bench.RunChaos exercises it separately); here we pin that an
+// extension serving several documents through one storm keeps
 // every document isolated and convergent. Run with -race.
 func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 	profile := chaosStorm(424242)
@@ -208,10 +205,7 @@ func TestChaosDistinctDocsUnderStorm(t *testing.T) {
 
 	const password = "chaos-multi-pw"
 	ext := mediator.New(faults,
-		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}),
-		mediator.WithResilience(mediator.Resilience{
-			Retry: mediator.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 2},
-		}))
+		mediator.StaticPassword(password, core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8}))
 
 	const docs = 3
 	for d := 0; d < docs; d++ {

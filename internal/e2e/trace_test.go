@@ -1,7 +1,7 @@
 // Trace propagation end to end: one edit operation produces a single span
 // tree that crosses the wire — client spans, mediator phase spans, and
 // server-side spans joined under the same trace ID — and keeps that shape
-// even when the resilience stack has to retry through an injected fault.
+// when the writer has to re-send a save after an injected fault.
 package e2e
 
 import (
@@ -19,8 +19,8 @@ import (
 
 // failNext injects one synthetic HTTP 500 below the mediator (the request
 // never reaches the server) the next time it is armed, then passes
-// everything through. Deterministic: attempt 1 of the guarded save faults,
-// attempt 2 is clean.
+// everything through. Deterministic: the guarded save's first send faults,
+// the writer's re-send is clean.
 type failNext struct {
 	base http.RoundTripper
 	mu   sync.Mutex
@@ -77,9 +77,9 @@ func waitForTrace(t *testing.T, col *trace.Collector, pred func(trace.Trace) boo
 //   - server-side spans (request middleware + store operation) appear in
 //     the SAME trace, marked remote, joined via the X-Privedit-Trace
 //     header over real HTTP;
-//   - when the first save attempt hits an injected 500, the retry span and
-//     its annotations land in the same tree, and the server spans recorded
-//     belong to the clean second attempt.
+//   - when the first send of a save hits an injected 500, that send's
+//     trace holds no server spans; the writer's re-send is a trace of its
+//     own, annotated retry=1, and the clean send's server spans join it.
 func TestTracePropagationAcrossRetry(t *testing.T) {
 	prev := trace.Default.Enabled()
 	trace.Default.SetEnabled(true)
@@ -92,8 +92,7 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 	defer ts.Close()
 
 	failer := &failNext{base: ts.Client().Transport}
-	ext := mediator.New(failer, mediator.StaticPassword("pw", opts(core.ConfidentialityIntegrity, 50)),
-		mediator.WithResilience(mediator.DefaultResilience()))
+	ext := mediator.New(failer, mediator.StaticPassword("pw", opts(core.ConfidentialityIntegrity, 50)))
 	client := gdocs.NewClient(ext.Client(), ts.URL, "traced-doc")
 
 	if err := client.Create(); err != nil {
@@ -116,12 +115,12 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 			t.Error("server request span not marked remote")
 		}
 	}
-	if spanCount(clean, trace.SpanRetry) != 0 {
+	if clean.HasAnnotation("retry") {
 		t.Fatalf("clean save unexpectedly retried: %+v", clean)
 	}
 
-	// Now the guarded save: attempt 1 eats an injected 500 below the
-	// mediator, attempt 2 goes through. One operation, one trace.
+	// Now the guarded save: its first send eats an injected 500 below the
+	// mediator, the writer's re-send goes through.
 	if err := client.Insert(0, "please "); err != nil {
 		t.Fatal(err)
 	}
@@ -130,32 +129,34 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 		t.Fatalf("retried save: %v", err)
 	}
 
-	retried := waitForTrace(t, col, func(tr trace.Trace) bool {
-		return tr.Root == trace.SpanWriterDrain && tr.Doc == "traced-doc" && spanCount(tr, trace.SpanRetry) > 0
+	failed := waitForTrace(t, col, func(tr trace.Trace) bool {
+		return tr.Root == trace.SpanWriterDrain && tr.Doc == "traced-doc" && rootAnnotation(tr, "outcome") == "infra_failure"
 	})
-	if retried.TraceID == clean.TraceID {
-		t.Fatal("retried save reused the clean save's trace ID")
+	if n := spanCount(failed, trace.SpanServerRequest); n != 0 {
+		t.Errorf("failed send's trace has %d server request spans, want 0", n)
 	}
-	// The faulted attempt never reached the server; the clean retry did,
-	// and its server spans joined the same trace over the wire.
+	retried := waitForTrace(t, col, func(tr trace.Trace) bool {
+		return tr.Root == trace.SpanWriterDrain && tr.Doc == "traced-doc" && tr.HasAnnotation("retry")
+	})
+	if retried.TraceID == clean.TraceID || retried.TraceID == failed.TraceID {
+		t.Fatal("re-sent save reused an earlier trace ID")
+	}
+	if got := rootAnnotation(retried, "retry"); got != "1" {
+		t.Errorf("re-send annotated retry=%q, want 1", got)
+	}
+	if got := rootAnnotation(retried, "outcome"); got != "saved" {
+		t.Errorf("re-send outcome %q, want saved", got)
+	}
+	// The re-send reached the server, and its server spans joined its
+	// trace over the wire.
 	if n := spanCount(retried, trace.SpanServerRequest); n != 1 {
-		t.Errorf("retried trace has %d server request spans, want 1 (attempt 2 only)", n)
+		t.Errorf("retried trace has %d server request spans, want 1", n)
 	}
 	if n := spanCount(retried, trace.SpanServerStore); n != 1 {
 		t.Errorf("retried trace has %d server store spans, want 1", n)
 	}
 	if n := spanCount(retried, trace.SpanSave); n == 0 {
 		t.Error("retried trace lost its mediator save phase span")
-	}
-	var retrySpan *trace.SpanData
-	for i := range retried.Spans {
-		if retried.Spans[i].Name == trace.SpanRetry {
-			retrySpan = &retried.Spans[i]
-		}
-	}
-	attempt := annotationValue(*retrySpan, "attempt")
-	if attempt != "2" {
-		t.Errorf("retry span attempt = %q, want 2", attempt)
 	}
 	// Every span in the finalized trace carries a span ID and the server
 	// spans nest under client-side parents present in the same tree.
@@ -180,10 +181,16 @@ func spanCount(tr trace.Trace, name string) int {
 	return n
 }
 
-func annotationValue(sp trace.SpanData, key string) string {
-	for _, a := range sp.Annotations {
-		if a.Key == key {
-			return a.Value
+// rootAnnotation returns the value of key on the trace's root span.
+func rootAnnotation(tr trace.Trace, key string) string {
+	for _, sp := range tr.Spans {
+		if sp.Name != tr.Root || sp.ParentID != "" {
+			continue
+		}
+		for _, a := range sp.Annotations {
+			if a.Key == key {
+				return a.Value
+			}
 		}
 	}
 	return ""

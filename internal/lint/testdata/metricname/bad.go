@@ -24,15 +24,13 @@ func registerDefault() {
 	obs.NewGauge("legacy_ratio", "acknowledged")
 }
 
-// registerResilience pins the PR-4 fault-injection and resilience metric
-// families as analyzer-clean: the exact names the netsim fault transport
-// and the mediator's retry/breaker/degraded stack register.
+// registerResilience pins fault-injection and resilience metric families
+// as analyzer-clean: names of the kind the netsim fault transport and the
+// mediator's retry/degraded instrumentation register.
 func registerResilience() {
 	obs.NewCounter("privedit_netsim_faults_total", "by kind", "kind", "drop").Inc()
 	obs.NewCounter("privedit_netsim_fault_requests_total", "storm traffic").Inc()
 	obs.NewCounter("privedit_mediator_retry_attempts_total", "retries").Inc()
-	obs.NewCounter("privedit_mediator_retry_giveups_total", "exhausted").Inc()
-	obs.NewHistogram("privedit_mediator_retry_backoff_seconds", "jitter", nil).Observe(0.005)
 	obs.NewCounter("privedit_mediator_breaker_transitions_total", "by target", "to", "open").Inc()
 	obs.NewGauge("privedit_mediator_breaker_open_docs", "open now").Set(0)
 	obs.NewGauge("privedit_mediator_queued_saves", "shadow depth").Set(0)

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -73,34 +74,37 @@ func TestAdmissionRejectParsing(t *testing.T) {
 	}
 }
 
-// TestAdmissionRetryHonored drives a save into a gate that throttles the
-// first attempts. The retry loop must classify the 429 as an admission
-// reject, count it, and still land the save once the gate admits it.
-func TestAdmissionRetryHonored(t *testing.T) {
+// gatedDoc creates and seeds docID through an open gate, so the session
+// holds the document's lineage before the gate closes.
+func gatedDoc(t *testing.T, docID string) (*gdocs.Server, *admissionGate, *Extension, *gdocs.Client) {
+	t.Helper()
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
 	t.Cleanup(ts.Close)
-	gate := &admissionGate{base: ts.Client().Transport, retryAfter: "1"}
+	gate := &admissionGate{base: ts.Client().Transport}
 	opts := core.Options{
 		Scheme:     core.ConfidentialityIntegrity,
 		BlockChars: 8,
 		Nonces:     crypt.NewSeededNonceSource(99),
 	}
-	ext := New(ts.Client().Transport, StaticPassword("hunter2", opts))
-	client := gdocs.NewClient(ext.Client(), ts.URL, "admission-doc")
+	ext := New(gate, StaticPassword("hunter2", opts))
+	client := gdocs.NewClient(ext.Client(), ts.URL, docID)
 	if err := client.Create(); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-
-	// Rebuild the extension over the gate with a fast retry policy; the
-	// document state carries over because the server holds it.
-	ext = New(gate, StaticPassword("hunter2", opts),
-		WithResilience(Resilience{Retry: fastRetry(4)}))
-	client = gdocs.NewClient(ext.Client(), ts.URL, "admission-doc")
-	if err := client.Load(); err != nil {
-		t.Fatalf("load before throttling: %v", err)
+	client.SetText("before the gate closed")
+	if err := client.Save(); err != nil {
+		t.Fatalf("seed save: %v", err)
 	}
-	flush(t, ext, "admission-doc")
+	flush(t, ext, docID)
+	return server, gate, ext, client
+}
+
+// TestAdmissionRetryHonored drives a save into a gate that throttles it.
+// The writer re-sends a save the gate rejected until it is admitted, and
+// a reject's Retry-After pushes the writer's next attempt out to the hint.
+func TestAdmissionRetryHonored(t *testing.T) {
+	server, gate, ext, client := gatedDoc(t, "admission-doc")
 	gate.mu.Lock()
 	gate.rejectNext = 2
 	gate.mu.Unlock()
@@ -109,35 +113,77 @@ func TestAdmissionRetryHonored(t *testing.T) {
 		t.Fatalf("save through admission gate: %v", err)
 	}
 	flush(t, ext, "admission-doc")
-	if got := ext.Stats().AdmissionRetries; got < 2 {
-		t.Errorf("AdmissionRetries = %d, want >= 2", got)
+	if got := ext.Stats().Retries; got != 2 {
+		t.Errorf("Retries = %d, want 2", got)
 	}
 	if got := decryptStored(t, server, "admission-doc", "hunter2", false); got != "admitted eventually" {
 		t.Fatalf("server text after admitted save: %q", got)
 	}
+
+	// One more reject, now with a Retry-After hint: the writer must not
+	// try again before it. The session closes before the hint runs out.
+	gate.mu.Lock()
+	gate.rejectNext, gate.retryAfter = 1, "1"
+	gate.mu.Unlock()
+	client.SetText("told to wait")
+	if err := client.Save(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	sess := ext.sessionFor("admission-doc")
+	var wait time.Duration
+	for deadline := time.Now().Add(5 * time.Second); wait == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never noted the reject")
+		}
+		sess.mu.Lock()
+		if sess.pl.failStreak > 0 {
+			wait = time.Until(sess.pl.retryAt)
+		}
+		sess.mu.Unlock()
+	}
+	if wait < 900*time.Millisecond || wait > time.Second {
+		t.Errorf("next attempt in %v after a Retry-After: 1 reject, want about 1s", wait)
+	}
+	_ = ext.Session("admission-doc").Close()
 }
 
-// TestAdmissionRetriesExhausted: a gate that never admits must surface the
-// 429 to the caller after the policy's attempts run out.
+// TestAdmissionRetriesExhausted: a gate that never admits leaves the
+// document degraded with its save queued. Flush gives up with its
+// context's error, and the save is not dropped: the writer keeps trying.
+// A create, with no queue behind it, goes out once and fails.
 func TestAdmissionRetriesExhausted(t *testing.T) {
-	server := gdocs.NewServer()
-	ts := httptest.NewServer(server)
-	t.Cleanup(ts.Close)
-	gate := &admissionGate{base: ts.Client().Transport, rejectNext: 1 << 20}
-	opts := core.Options{
-		Scheme:     core.ConfidentialityIntegrity,
-		BlockChars: 8,
-		Nonces:     crypt.NewSeededNonceSource(100),
+	_, gate, ext, client := gatedDoc(t, "throttled-doc")
+	gate.mu.Lock()
+	gate.rejectNext = 1 << 20
+	gate.mu.Unlock()
+	client.SetText("never admitted")
+	if err := client.Save(); err != nil {
+		t.Fatalf("local save: %v", err)
 	}
-	ext := New(gate, StaticPassword("hunter2", opts),
-		WithResilience(Resilience{Retry: fastRetry(3)}))
-	client := gdocs.NewClient(ext.Client(), ts.URL, "throttled-doc")
-	if err := client.Create(); err == nil {
-		t.Fatal("create through a closed admission gate succeeded")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	sess := ext.Session("throttled-doc")
+	if err := sess.Flush(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Flush through a closed gate = %v, want the context's deadline", err)
 	}
-	if got := ext.Stats().AdmissionRetries; got == 0 {
-		t.Error("AdmissionRetries = 0 after exhausted retries")
+	if !sess.Degraded() {
+		t.Error("document not degraded behind a closed gate")
 	}
+	if st := ext.Stats(); st.DroppedSaves != 0 || st.Retries == 0 {
+		t.Errorf("DroppedSaves = %d, Retries = %d; want the save kept and re-sent", st.DroppedSaves, st.Retries)
+	}
+
+	// A gate of its own, so the writer's re-sends above do not count; it
+	// answers every request itself, so the URL is never dialled.
+	closed := &admissionGate{rejectNext: 1 << 20}
+	other := New(closed, StaticPassword("hunter2", core.Options{}))
+	if err := gdocs.NewClient(other.Client(), "http://gated.invalid", "other-doc").Create(); err == nil {
+		t.Error("create through a closed admission gate succeeded")
+	}
+	if closed.rejects != 1 {
+		t.Errorf("create went out %d times, want once", closed.rejects)
+	}
+	_ = sess.Close()
 }
 
 // TestSessionHandle exercises the Session handle surface end to end:

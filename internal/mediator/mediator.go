@@ -13,7 +13,6 @@
 package mediator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -96,11 +95,9 @@ type Stats struct {
 	PlainBytesIn      int // plaintext characters submitted by the client
 	CipherBytesOut    int // ciphertext characters actually sent
 
-	Retries          int // retry attempts beyond the first try
-	RetryGiveups     int // round trips that exhausted the retry budget
-	AdmissionRetries int // retries caused by typed admission rejects (429/503 + HeaderRetryable)
-	DegradedSaves    int // saves acknowledged while the document's writer was failing
-	DegradedLoads    int // loads served while the document's writer was failing
+	Retries       int // saves the writer sent while its failure streak was open
+	DegradedSaves int // saves acknowledged while the document's writer was failing
+	DegradedLoads int // loads served while the document's writer was failing
 
 	QueuedSaves     int // saves accepted into a per-document pipeline queue
 	QueueCoalesced  int // saves folded into the queue tail at max depth
@@ -131,14 +128,12 @@ type Extension struct {
 	passwords PasswordProvider
 	mitigator *covert.Mitigator
 	useStego  bool
-	res       *resilience // nil = one attempt per round trip
-	pipeDepth int         // max per-document queue depth
-	saveToken uint64      // random per-extension idempotency-token prefix
+	pipeDepth int    // max per-document queue depth
+	saveToken uint64 // random per-extension idempotency-token prefix
 
 	mu       sync.RWMutex
 	sessions map[string]*session
-	keys     keyCache   // document keys derived on open, by salt and password
-	rngMu    sync.Mutex // guards res.rng (backoff jitter)
+	keys     keyCache // document keys derived on open, by salt and password
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -184,8 +179,8 @@ func WithPipeline(depth int) Option {
 }
 
 // New builds an extension. base is the underlying transport (nil for
-// http.DefaultTransport). Covert-channel mitigation, stego encoding,
-// resilience, and the save queue depth are options.
+// http.DefaultTransport). Covert-channel mitigation, stego encoding and
+// the save queue depth are options.
 func New(base http.RoundTripper, passwords PasswordProvider, opts ...Option) *Extension {
 	if base == nil {
 		base = http.DefaultTransport
@@ -349,19 +344,14 @@ func (e *Extension) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// forward sends a rewritten form body to the server, through the retry
-// layer when resilience is enabled. The request is rebuilt per attempt so
-// every retry carries a fresh body.
+// forward sends the request to the server once, with form as its body.
 func (e *Extension) forward(req *http.Request, form url.Values) (*http.Response, error) {
 	body := form.Encode()
-	return e.sendResilient(req.Context(), func(ctx context.Context) (*http.Request, error) {
-		clone := req.Clone(ctx)
-		clone.Body = io.NopCloser(strings.NewReader(body))
-		clone.ContentLength = int64(len(body))
-		clone.Header = req.Header.Clone()
-		clone.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		return clone, nil
-	})
+	clone := req.Clone(req.Context())
+	clone.Body = io.NopCloser(strings.NewReader(body))
+	clone.ContentLength = int64(len(body))
+	clone.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	return e.send(clone)
 }
 
 func (e *Extension) mediateCreate(req *http.Request) (*http.Response, error) {

@@ -21,8 +21,10 @@
 //     verifies. Only when that bridge fails does the writer collapse the
 //     queue into one full-content save.
 //   - A failed round trip (transport error, 5xx, 429) starts a failure
-//     streak: the writer backs off, new saves keep acking locally with
-//     the degraded header, and the queue drains once the server answers.
+//     streak, the extension's only retry policy: the writer backs off and
+//     re-sends the head save under its unchanged idempotency token, new
+//     saves keep acking locally with the degraded header, and the queue
+//     drains once the server answers.
 //
 // Operational transformation over ciphertext deltas directly would be
 // unsound — a ciphertext delta rewrites the container's prefix and
@@ -66,7 +68,8 @@ type plEntry struct {
 	after  string
 	p      delta.Delta
 
-	id string // idempotency token (HeaderSaveID)
+	//taint:clean idempotency token (HeaderSaveID): extension prefix and counter
+	id string
 	//taint:clean ciphertext delta (or full container when full)
 	wire string
 	//taint:clean server-space ciphertext mirror after this save applies
@@ -77,8 +80,6 @@ type plEntry struct {
 // plState is a session's local view and save queue, guarded by
 // session.mu.
 type plState struct {
-	baseURL *url.URL // scheme+host of the backing server
-
 	plain string // the client-facing plaintext view
 	sv    int    // mediator-owned version the client sees
 
@@ -115,9 +116,12 @@ type plState struct {
 	hist      []plHist
 	histBytes int
 
-	wake chan struct{}   // buffered(1): kicks the writer
-	done chan struct{}   // closed by Close; ends any writer wait
-	idle []chan struct{} // Flush waiters, closed when the queue drains
+	// cancel ends the writer's context, which scopes its round trips and
+	// waits: Close calls it, so a request to a server that never answers
+	// cannot outlive the session.
+	cancel context.CancelFunc
+	wake   chan struct{}   // buffered(1): kicks the writer
+	idle   []chan struct{} // Flush waiters, closed when the queue drains
 
 	stats SessionStats
 }
@@ -243,17 +247,17 @@ func (e *Extension) pipeBootstrapLocked(sess *session, docID string, u *url.URL,
 	base := *u
 	base.Path = ""
 	base.RawQuery = ""
+	ctx, cancel := context.WithCancel(context.Background())
 	sess.pl = &plState{
-		baseURL:      &base,
 		plain:        plain,
 		sv:           version,
 		srvPlain:     plain,
 		srvTransport: mirror,
 		srvVersion:   version,
+		cancel:       cancel,
 		wake:         make(chan struct{}, 1),
-		done:         make(chan struct{}),
 	}
-	go e.writerLoop(sess, docID)
+	go e.writerLoop(ctx, sess, docID, &base)
 }
 
 // errUnreachable marks a bootstrap fetch that never got an answer from
@@ -273,9 +277,7 @@ func (e *Extension) pipeBootstrapFetchLocked(sess *session, docID string, req *h
 	u := *req.URL
 	u.Path = gdocs.PathDoc
 	u.RawQuery = url.Values{gdocs.FieldDocID: {docID}}.Encode()
-	resp, err := e.sendResilient(lctx, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	})
+	resp, err := e.get(lctx, &u)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errUnreachable, err)
 	}
@@ -398,9 +400,7 @@ func (e *Extension) fetchServerState(ctx context.Context, baseURL *url.URL, docI
 		gdocs.FieldDocID: {docID},
 		gdocs.FieldSince: {strconv.Itoa(since)},
 	}.Encode()
-	resp, err := e.sendResilient(ctx, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	})
+	resp, err := e.get(ctx, &u)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -765,16 +765,25 @@ func writerBackoff(streak int) time.Duration {
 	return d
 }
 
+// writerDelay is the writer's pause before its next attempt after its
+// streak-th consecutive failure: the backoff step, or an admission
+// reject's Retry-After hint when that is longer. The hint is capped at
+// the backoff ceiling, so a hostile or confused server cannot stall the
+// writer longer than a dead one does.
+func writerDelay(streak int, hint time.Duration) time.Duration {
+	return max(writerBackoff(streak), min(hint, time.Second))
+}
+
 // noteLocked feeds one writer round trip's outcome into the failure
 // streak: success clears it, a failure extends it and moves the retry
-// deadline one backoff step out. Callers hold sess.mu.
-func (pl *plState) noteLocked(ok bool) {
+// deadline out by writerDelay. Callers hold sess.mu.
+func (pl *plState) noteLocked(ok bool, hint time.Duration) {
 	if ok {
 		pl.failStreak = 0
 		return
 	}
 	pl.failStreak++
-	pl.retryAt = time.Now().Add(writerBackoff(pl.failStreak))
+	pl.retryAt = time.Now().Add(writerDelay(pl.failStreak, hint))
 }
 
 // waitOrWake sleeps for d, returning early if stop fires.
@@ -790,8 +799,9 @@ func waitOrWake(stop <-chan struct{}, d time.Duration) {
 // writerLoop is the per-document writer goroutine: it drains the save
 // queue in order, one in-flight request at a time, and owns every
 // mutation of the server-state mirrors. It exits when the session is
-// closed.
-func (e *Extension) writerLoop(sess *session, docID string) {
+// closed, which also cancels ctx. baseURL is the backing server's
+// scheme and host.
+func (e *Extension) writerLoop(ctx context.Context, sess *session, docID string, baseURL *url.URL) {
 	for {
 		sess.mu.Lock()
 		pl := sess.pl
@@ -799,7 +809,7 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			sess.mu.Unlock()
 			select {
 			case <-pl.wake:
-			case <-pl.done:
+			case <-ctx.Done():
 			}
 			sess.mu.Lock()
 		}
@@ -813,7 +823,7 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			// new save just joins the queue, so a dead server sees one
 			// attempt per backoff step, not one per keystroke.
 			sess.mu.Unlock()
-			waitOrWake(pl.done, wait)
+			waitOrWake(ctx.Done(), wait)
 			continue
 		}
 		if len(pl.queue) == 0 {
@@ -825,15 +835,14 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			// is done, so the client cannot save against a version the
 			// repair is about to bump.
 			pl.catchup, pl.fetching = false, true
-			since, mirror0, baseURL := pl.srvVersion, pl.srvTransport, pl.baseURL
+			since, mirror0 := pl.srvVersion, pl.srvTransport
 			sess.mu.Unlock()
-			cctx := context.Background()
-			mirror, version, _, err := e.fetchServerState(cctx, baseURL, docID, since, mirror0)
+			mirror, version, _, err := e.fetchServerState(ctx, baseURL, docID, since, mirror0)
 			sess.mu.Lock()
 			pl.fetching = false
-			pl.noteLocked(err == nil)
+			pl.noteLocked(err == nil, 0)
 			if !pl.closed && err == nil && version != pl.srvVersion {
-				_ = e.repairLocked(cctx, sess, docID, mirror, version)
+				_ = e.repairLocked(ctx, sess, docID, mirror, version)
 			}
 			if !pl.closed {
 				maybeNotifyIdleLocked(pl)
@@ -842,10 +851,10 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			continue
 		}
 
-		ctx, root := trace.Default.Root(context.Background(), trace.SpanWriterDrain)
+		dctx, root := trace.Default.Root(ctx, trace.SpanWriterDrain)
 		root.Annotate("doc", docID)
 		ent := pl.queue[0]
-		if err := e.transformEntryLocked(ctx, sess, docID, ent); err != nil {
+		if err := e.transformEntryLocked(dctx, sess, docID, ent); err != nil {
 			root.Annotate("error", "transform")
 			e.collapseQueueLocked(sess)
 			root.End()
@@ -861,15 +870,20 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 			form.Set(gdocs.FieldDelta, ent.wire)
 		}
 		e.applyPadding(form, len(ent.wire))
-		baseURL := pl.baseURL
 		saveID := ent.id
+		if pl.failStreak > 0 {
+			root.AnnotateInt("retry", int64(pl.failStreak))
+			e.bump(func(s *Stats) { s.Retries++ })
+			metricRetryAttempts.Inc()
+		}
 		sess.mu.Unlock()
 
 		e.applyDelay()
-		sctx, ssp := trace.Start(ctx, trace.SpanSave)
-		resp, err := e.postForm(sctx, baseURL, gdocs.PathDoc, form, saveID)
+		sctx, ssp := trace.Start(dctx, trace.SpanSave)
+		resp, err := e.postSave(sctx, baseURL, form, saveID)
 		ssp.End()
 		fail := infraFailure(resp, err)
+		hint, _ := admissionReject(resp)
 		status, ackVersion := 0, -1
 		if err == nil {
 			status = resp.StatusCode
@@ -888,7 +902,7 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 
 		sess.mu.Lock()
 		pl.inflight = false
-		pl.noteLocked(!fail)
+		pl.noteLocked(!fail, hint)
 		switch {
 		case pl.closed:
 			// Closed mid-flight: do not touch the (cleared) queue.
@@ -913,7 +927,7 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 
 		case status == http.StatusConflict:
 			root.Annotate("conflict", "1")
-			e.pipeRepair(ctx, sess, docID, root)
+			e.pipeRepair(dctx, sess, docID, baseURL, root)
 			// pipeRepair returns with sess.mu released.
 
 		default:
@@ -941,11 +955,10 @@ func (e *Extension) writerLoop(sess *session, docID string) {
 // and let the writer retry. Falls back to the full-resync collapse when
 // the bridge cannot be built. Called with sess.mu held; returns with it
 // released.
-func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string, root *trace.Span) {
+func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string, baseURL *url.URL, root *trace.Span) {
 	pl := sess.pl
 	since := pl.srvVersion
 	mirror0 := pl.srvTransport
-	baseURL := pl.baseURL
 	sess.mu.Unlock()
 
 	// Fetch without the lock: saves keep flowing into the queue and the
@@ -957,7 +970,7 @@ func (e *Extension) pipeRepair(ctx context.Context, sess *session, docID string,
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	defer root.End()
-	pl.noteLocked(err == nil)
+	pl.noteLocked(err == nil, 0)
 	if pl.closed {
 		msp.End()
 		return
@@ -1033,9 +1046,11 @@ func (e *Extension) flushSession(ctx context.Context, docID string) error {
 	return nil
 }
 
-// closeSession tears down a document session: the writer goroutine exits,
-// queued-but-unsent saves are dropped (flush first for a graceful close),
-// and the session record is removed so a later touch starts fresh. The
+// closeSession tears down a document session: cancelling the session
+// context ends the writer's round trip in flight and the writer goroutine
+// exits, queued-but-unsent saves are dropped (flush first for a graceful
+// close), and the session record is removed so a later touch starts
+// fresh. The
 // error counts every save that never reached the server and no Flush has
 // reported: the dropped queue plus any the server refused earlier.
 func (e *Extension) closeSession(docID string) error {
@@ -1061,7 +1076,7 @@ func (e *Extension) closeSession(docID string) error {
 		})
 		metricQueueDepth.Add(float64(-queued))
 		notifyIdleLocked(pl)
-		close(pl.done)
+		pl.cancel()
 	}
 	sess.mu.Unlock()
 	if dropped > 0 {

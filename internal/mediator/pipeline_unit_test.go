@@ -182,3 +182,26 @@ func TestReopenShadowLockedEmptyMirror(t *testing.T) {
 		t.Error("empty mirror left a shadow editor behind")
 	}
 }
+
+// TestWriterDelay pins the admission floor on the backoff step: a reject's
+// Retry-After hint delays the next attempt past a shorter step, never
+// shortens a longer one, and is capped at the 1s ceiling.
+func TestWriterDelay(t *testing.T) {
+	cases := []struct {
+		streak int
+		hint   time.Duration
+		want   time.Duration
+	}{
+		{1, 0, 5 * time.Millisecond},
+		{1, 200 * time.Millisecond, 200 * time.Millisecond},
+		{4, 2 * time.Millisecond, 40 * time.Millisecond},
+		{1, time.Second, time.Second},
+		{1, 30 * time.Second, time.Second},
+		{100, 30 * time.Second, time.Second},
+	}
+	for _, c := range cases {
+		if got := writerDelay(c.streak, c.hint); got != c.want {
+			t.Errorf("writerDelay(%d, %v) = %v, want %v", c.streak, c.hint, got, c.want)
+		}
+	}
+}

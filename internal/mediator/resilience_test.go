@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,8 +21,8 @@ import (
 
 // faultyTransport is a scriptable base transport: it can fail the next N
 // requests (or all of them while down), either with a transport error or
-// with an injected HTTP status, and can hang attempts until their context
-// expires.
+// with an injected HTTP status, and can hang requests until their context
+// ends, reporting each hung request's error on hung when that is set.
 type faultyTransport struct {
 	base http.RoundTripper
 
@@ -29,6 +31,7 @@ type faultyTransport struct {
 	down     bool // fail everything while set
 	status   int  // 0 = transport error, else injected status
 	hangNext int  // hang this many upcoming requests until ctx done
+	hung     chan error
 	hits     int
 }
 
@@ -45,12 +48,16 @@ func (f *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !f.down && f.failNext > 0 && !hang {
 		f.failNext--
 	}
-	status := f.status
+	status, hung := f.status, f.hung
 	f.mu.Unlock()
 
 	if hang {
 		<-req.Context().Done()
-		return nil, req.Context().Err()
+		err := req.Context().Err()
+		if hung != nil {
+			hung <- err
+		}
+		return nil, err
 	}
 	if fail {
 		if status != 0 {
@@ -67,7 +74,13 @@ func (f *faultyTransport) set(fn func(*faultyTransport)) {
 	fn(f)
 }
 
-// resilientHarness wires server + faulty transport + resilient extension.
+func (f *faultyTransport) hitCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hits
+}
+
+// resilientHarness wires server + faulty transport + extension.
 type resilientHarness struct {
 	server *gdocs.Server
 	ts     *httptest.Server
@@ -76,7 +89,7 @@ type resilientHarness struct {
 	client *gdocs.Client
 }
 
-func newResilientHarness(t *testing.T, res Resilience) *resilientHarness {
+func newResilientHarness(t *testing.T) *resilientHarness {
 	t.Helper()
 	server := gdocs.NewServer()
 	ts := httptest.NewServer(server)
@@ -87,18 +100,9 @@ func newResilientHarness(t *testing.T, res Resilience) *resilientHarness {
 		BlockChars: 8,
 		Nonces:     crypt.NewSeededNonceSource(777),
 	}
-	ext := New(flaky, StaticPassword("hunter2", opts), WithResilience(res))
+	ext := New(flaky, StaticPassword("hunter2", opts))
 	client := gdocs.NewClient(ext.Client(), ts.URL, "resilient-doc")
 	return &resilientHarness{server: server, ts: ts, flaky: flaky, ext: ext, client: client}
-}
-
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: attempts,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Seed:        1,
-	}
 }
 
 func (h *resilientHarness) seed(t *testing.T, text string) {
@@ -113,16 +117,11 @@ func (h *resilientHarness) seed(t *testing.T, text string) {
 	flush(t, h.ext, h.client.DocID())
 }
 
-func TestResilienceWithDefaults(t *testing.T) {
-	r := Resilience{}.withDefaults()
-	want := DefaultResilience()
-	if r != want {
-		t.Errorf("withDefaults = %+v, want %+v", r, want)
-	}
-}
-
+// TestRetryRecoversTransientErrors: a save whose first two sends hit
+// transport errors is re-sent by the writer after each backoff step and
+// lands; each re-send counts as one retry.
 func TestRetryRecoversTransientErrors(t *testing.T) {
-	h := newResilientHarness(t, Resilience{Retry: fastRetry(4)})
+	h := newResilientHarness(t)
 	h.seed(t, "the quick brown fox")
 
 	h.flaky.set(func(f *faultyTransport) { f.failNext = 2 })
@@ -133,8 +132,8 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 		t.Fatalf("save through transient failures: %v", err)
 	}
 	flush(t, h.ext, h.client.DocID())
-	if got := h.ext.Stats().Retries; got < 2 {
-		t.Errorf("Retries = %d, want >= 2", got)
+	if got := h.ext.Stats().Retries; got != 2 {
+		t.Errorf("Retries = %d, want 2", got)
 	}
 	if h.ext.Session(h.client.DocID()).Degraded() {
 		t.Error("successfully retried save left the document degraded")
@@ -144,7 +143,7 @@ func TestRetryRecoversTransientErrors(t *testing.T) {
 
 func TestRetryRecoversInjected5xxAnd429(t *testing.T) {
 	for _, status := range []int{http.StatusInternalServerError, http.StatusTooManyRequests} {
-		h := newResilientHarness(t, Resilience{Retry: fastRetry(4)})
+		h := newResilientHarness(t)
 		h.seed(t, "retry me")
 		h.flaky.set(func(f *faultyTransport) { f.failNext, f.status = 2, status })
 		if err := h.client.Insert(0, "x"); err != nil {
@@ -154,24 +153,25 @@ func TestRetryRecoversInjected5xxAnd429(t *testing.T) {
 			t.Fatalf("status %d: save: %v", status, err)
 		}
 		flush(t, h.ext, h.client.DocID())
-		if got := h.ext.Stats().Retries; got < 2 {
-			t.Errorf("status %d: Retries = %d, want >= 2", status, got)
+		if got := h.ext.Stats().Retries; got != 2 {
+			t.Errorf("status %d: Retries = %d, want 2", status, got)
 		}
 		plainCheck(t, h, "xretry me")
 	}
 }
 
-// TestRetryExhaustionSurfacesStatus: with the server hard-down, a load
-// that has no local state to serve must surface the server's final
-// status once the retries run out, rather than invent a document.
+// TestRetryExhaustionSurfacesStatus: with the server hard-down, a load or
+// save that has no local state to serve goes out once — no retry policy
+// stands in front of a first touch — and must surface the server's answer
+// rather than invent a document.
 func TestRetryExhaustionSurfacesStatus(t *testing.T) {
 	// A first touch with no local state cannot be served locally: the
-	// server's final answer (an exhausted 500) or the transport error
-	// (status 0) must reach the client as such — never as the extension
-	// blocking the request — for a load and for a save alike.
+	// server's answer (a 500) or the transport error (status 0) must reach
+	// the client as such — never as the extension blocking the request —
+	// for a load and for a save alike.
 	for _, status := range []int{http.StatusInternalServerError, 0} {
 		t.Run(fmt.Sprintf("status=%d", status), func(t *testing.T) {
-			h := newResilientHarness(t, Resilience{Retry: fastRetry(3)})
+			h := newResilientHarness(t)
 			h.seed(t, "doomed")
 			sess := h.ext.Session(h.client.DocID())
 			if err := sess.Close(); err != nil {
@@ -179,7 +179,7 @@ func TestRetryExhaustionSurfacesStatus(t *testing.T) {
 			}
 
 			h.flaky.set(func(f *faultyTransport) { f.down, f.status = true, status })
-			check := func(op string, err error) {
+			check := func(op string, hits int, err error) {
 				t.Helper()
 				switch {
 				case err == nil:
@@ -189,21 +189,23 @@ func TestRetryExhaustionSurfacesStatus(t *testing.T) {
 				case status == 0 && !errors.Is(err, errInjected):
 					t.Errorf("%s: %v does not carry the transport error", op, err)
 				case status != 0 && !strings.Contains(err.Error(), strconv.Itoa(status)):
-					t.Errorf("%s: %v does not surface the final %d", op, err, status)
+					t.Errorf("%s: %v does not surface the %d", op, err, status)
+				}
+				if sent := h.flaky.hitCount() - hits; sent != 1 {
+					t.Errorf("%s went out %d times, want once", op, sent)
 				}
 			}
-			check("load", h.client.Load())
+			hits := h.flaky.hitCount()
+			check("load", hits, h.client.Load())
 			if err := h.client.Insert(0, "x"); err != nil {
 				t.Fatal(err)
 			}
-			check("save", h.client.Save())
+			hits = h.flaky.hitCount()
+			check("save", hits, h.client.Save())
 
 			s := h.ext.Stats()
-			if s.RetryGiveups < 2 {
-				t.Errorf("RetryGiveups = %d, want >= 2", s.RetryGiveups)
-			}
-			if s.Retries < 4 {
-				t.Errorf("Retries = %d, want >= 4 (3 attempts each)", s.Retries)
+			if s.Retries != 0 {
+				t.Errorf("Retries = %d, want 0: a first touch is not retried", s.Retries)
 			}
 			if s.DegradedLoads != 0 || s.QueuedSaves != 1 {
 				t.Errorf("stats %+v: a refused first touch must not load or queue", s)
@@ -212,29 +214,154 @@ func TestRetryExhaustionSurfacesStatus(t *testing.T) {
 	}
 }
 
-func TestTryTimeoutBoundsHungAttempts(t *testing.T) {
-	res := Resilience{Retry: fastRetry(3)}
-	res.Retry.TryTimeout = 30 * time.Millisecond
-	h := newResilientHarness(t, res)
-	h.seed(t, "slow server")
+// writerLoops counts the goroutines running ext's writer loop.
+func writerLoops(ext *Extension) int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return strings.Count(string(buf[:n]), fmt.Sprintf("(*Extension).writerLoop(%p", ext))
+}
 
-	// The first attempt hangs until its per-attempt budget expires; the
-	// retry goes through. Without TryTimeout this save would block forever.
-	h.flaky.set(func(f *faultyTransport) { f.hangNext = 1 })
+// TestCloseCancelsHungSave: Close ends a save round trip to a server that
+// never answers. The hung request sees its context cancelled and the
+// writer goroutine exits, instead of both (and the session's editor)
+// living forever.
+func TestCloseCancelsHungSave(t *testing.T) {
+	h := newResilientHarness(t)
+	h.seed(t, "slow server")
+	hung := make(chan error, 1)
+	h.flaky.set(func(f *faultyTransport) { f.hangNext, f.hung = 1, hung })
+	hits := h.flaky.hitCount()
 	if err := h.client.Insert(0, "x"); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	if err := h.client.Save(); err != nil {
-		t.Fatalf("save after hung attempt: %v", err)
+		t.Fatalf("local save: %v", err)
 	}
-	flush(t, h.ext, h.client.DocID())
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("save took %v; per-attempt budget not applied", elapsed)
+	for deadline := time.Now().Add(5 * time.Second); h.flaky.hitCount() == hits; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never sent the save")
+		}
 	}
-	if got := h.ext.Stats().Retries; got < 1 {
-		t.Errorf("Retries = %d, want >= 1", got)
+	if n := writerLoops(h.ext); n != 1 {
+		t.Fatalf("%d writer goroutines before Close, want 1", n)
 	}
+
+	if err := h.ext.Session(h.client.DocID()).Close(); err == nil {
+		t.Error("Close with the save still in flight reported no unsent save")
+	}
+	select {
+	case err := <-hung:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("hung round trip ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the hung round trip running")
+	}
+	for deadline := time.Now().Add(5 * time.Second); writerLoops(h.ext) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer goroutine outlived Close")
+		}
+	}
+}
+
+// lossyTransport delivers every request, records each save's idempotency
+// token and body, and while loseNext is positive throws away the
+// response of a save the server has already applied, returning a
+// transport error instead — the lost-ack case.
+type lossyTransport struct {
+	base http.RoundTripper
+
+	mu       sync.Mutex
+	loseNext int
+	saves    []sentSave
+}
+
+type sentSave struct{ id, body string }
+
+var errLostResponse = errors.New("lossyTransport: response lost")
+
+func (l *lossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	save := req.Method == http.MethodPost && req.URL.Path == gdocs.PathDoc
+	if save {
+		rc, err := req.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		body, _ := io.ReadAll(rc)
+		l.mu.Lock()
+		l.saves = append(l.saves, sentSave{req.Header.Get(gdocs.HeaderSaveID), string(body)})
+		l.mu.Unlock()
+	}
+	resp, err := l.base.RoundTrip(req)
+	if err != nil || !save {
+		return resp, err
+	}
+	l.mu.Lock()
+	lose := l.loseNext > 0
+	if lose {
+		l.loseNext--
+	}
+	l.mu.Unlock()
+	if lose {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, errLostResponse
+	}
+	return resp, nil
+}
+
+// TestLostSaveResponseResentOnce: the server applies a save but its
+// response never arrives. The writer re-sends the identical save under the
+// same idempotency token, and the server applies it exactly once.
+func TestLostSaveResponseResentOnce(t *testing.T) {
+	server := gdocs.NewServer()
+	ts := httptest.NewServer(server)
+	t.Cleanup(ts.Close)
+	lossy := &lossyTransport{base: ts.Client().Transport}
+	opts := core.Options{Scheme: core.ConfidentialityIntegrity, BlockChars: 8, Nonces: crypt.NewSeededNonceSource(31)}
+	ext := New(lossy, StaticPassword("hunter2", opts))
+	h := &resilientHarness{server: server, ts: ts, ext: ext,
+		client: gdocs.NewClient(ext.Client(), ts.URL, "lossy-doc")}
+	h.seed(t, "the ack went missing")
+	_, v0, err := server.Content(context.Background(), "lossy-doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lossy.mu.Lock()
+	lossy.loseNext, lossy.saves = 1, nil
+	lossy.mu.Unlock()
+	if err := h.client.Insert(0, "lost: "); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.client.Save(); err != nil {
+		t.Fatalf("local save: %v", err)
+	}
+	flush(t, ext, "lossy-doc")
+
+	lossy.mu.Lock()
+	saves := lossy.saves
+	lossy.mu.Unlock()
+	if len(saves) != 2 {
+		t.Fatalf("%d saves sent, want the lost one and its re-send", len(saves))
+	}
+	if saves[0].id == "" || saves[1].id != saves[0].id {
+		t.Errorf("re-send carries save id %q, first send %q", saves[1].id, saves[0].id)
+	}
+	if saves[1].body != saves[0].body {
+		t.Error("re-send body differs from the first send")
+	}
+	if _, v, _ := server.Content(context.Background(), "lossy-doc"); v != v0+1 {
+		t.Errorf("server version %d -> %d, want one bump", v0, v)
+	}
+	if got := ext.Stats().Retries; got != 1 {
+		t.Errorf("Retries = %d, want 1", got)
+	}
+	plainCheck(t, h, "lost: the ack went missing")
 }
 
 // TestWriterBacksOffWhileServerDown wedges the backend — every save gets
@@ -335,44 +462,6 @@ func plainCheck(t *testing.T, h *resilientHarness, want string) {
 	}
 	if fc.Text() != want {
 		t.Errorf("fresh session text = %q, want %q", fc.Text(), want)
-	}
-}
-
-func TestBackoffScheduleDeterministicAndBounded(t *testing.T) {
-	mk := func(seed int64) *Extension {
-		return New(http.DefaultTransport, StaticPassword("x", core.Options{}),
-			WithResilience(Resilience{Retry: RetryPolicy{
-				MaxAttempts: 4,
-				BaseBackoff: 5 * time.Millisecond,
-				MaxBackoff:  80 * time.Millisecond,
-				Seed:        seed,
-			}}))
-	}
-	a, b := mk(9), mk(9)
-	prevA, prevB := time.Duration(0), time.Duration(0)
-	for i := 0; i < 50; i++ {
-		da := a.nextBackoff(prevA)
-		db := b.nextBackoff(prevB)
-		if da != db {
-			t.Fatalf("step %d: same seed drew %v vs %v", i, da, db)
-		}
-		if da < 5*time.Millisecond || da > 80*time.Millisecond {
-			t.Fatalf("step %d: backoff %v outside [base, max]", i, da)
-		}
-		prevA, prevB = da, db
-	}
-	c := mk(10)
-	prevC, distinct := time.Duration(0), false
-	prevA = 0
-	for i := 0; i < 50; i++ {
-		da, dc := a.nextBackoff(prevA), c.nextBackoff(prevC)
-		if da != dc {
-			distinct = true
-		}
-		prevA, prevC = da, dc
-	}
-	if !distinct {
-		t.Error("different seeds produced identical 50-step schedules")
 	}
 }
 

@@ -66,8 +66,9 @@ func (s *Session) Flush(ctx context.Context) error {
 	return s.e.flushSession(ctx, s.docID)
 }
 
-// Close tears down the document's session: the writer goroutine exits
-// and the session record is removed, so a later request starts fresh
+// Close tears down the document's session: the writer's round trip in
+// flight, if any, is cancelled, the writer goroutine exits, and the
+// session record is removed, so a later request starts fresh
 // from the server's state. Queued-but-unsent saves are dropped and
 // reported as an error, together with any refused saves no Flush has
 // reported — Flush first for a graceful close.

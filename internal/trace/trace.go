@@ -51,8 +51,7 @@ const (
 	SpanTransform = "transform" // delta parse/coalesce/mitigate/transform
 	SpanEncrypt   = "encrypt"   // full-document encrypt + stego encode
 	SpanEnqueue   = "enqueue"   // pipelined save accepted into the per-doc queue
-	SpanSave      = "save"      // save/update POST round trip (all attempts)
-	SpanRetry     = "retry"     // one resilience retry attempt (backoff + send)
+	SpanSave      = "save"      // save/update POST round trip
 	SpanMerge     = "merge"     // OT-first conflict repair: catch-up + transform
 	SpanResync    = "resync"    // gdocs.Client.Sync conflict recovery: refetch + merge
 
@@ -73,7 +72,7 @@ const (
 // per-phase latency breakdown, in presentation order.
 var EditPhases = []string{
 	SpanLoad, SpanDecrypt, SpanDiff, SpanTransform,
-	SpanEncrypt, SpanEnqueue, SpanSave, SpanRetry, SpanMerge, SpanResync,
+	SpanEncrypt, SpanEnqueue, SpanSave, SpanMerge, SpanResync,
 }
 
 // Telemetry about the tracer itself. No-ops until obs.Enable().

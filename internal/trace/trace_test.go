@@ -236,7 +236,7 @@ func TestConcurrentSpans(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
-			_, sp := Start(ctx, SpanRetry)
+			_, sp := Start(ctx, SpanSave)
 			sp.AnnotateInt("attempt", int64(i))
 			sp.End()
 		}(i)
