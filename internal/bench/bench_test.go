@@ -11,14 +11,11 @@ func quickCfg() Config { return Config{Trials: 3, Seed: 42} }
 
 func TestSampleStats(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 {
 		t.Error("empty sample stats nonzero")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
 	}
 	if got := s.Mean(); got != 5 {
 		t.Errorf("Mean = %f", got)
@@ -26,9 +23,6 @@ func TestSampleStats(t *testing.T) {
 	// Sample stddev of that classic set is ~2.138.
 	if got := s.StdDev(); got < 2.0 || got > 2.3 {
 		t.Errorf("StdDev = %f", got)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %f/%f", s.Min(), s.Max())
 	}
 }
 

@@ -11,10 +11,7 @@
 // shapes.
 package bench
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Sample accumulates observations and reports summary statistics.
 type Sample struct {
@@ -23,9 +20,6 @@ type Sample struct {
 
 // Add appends one observation.
 func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
@@ -52,56 +46,4 @@ func (s *Sample) StdDev() float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(n-1))
-}
-
-// Percentile returns the q-th quantile (0 < q <= 1) of the sample by the
-// nearest-rank method: the smallest observation v such that at least
-// ceil(q*n) observations are <= v. Unlike a bucketed histogram estimate,
-// the result is always an actual observation; P100 is the maximum and, for
-// n = 1, every percentile is the lone observation. Returns 0 for an empty
-// sample.
-func (s *Sample) Percentile(q float64) float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, s.values)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return sorted[rank-1]
-}
-
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

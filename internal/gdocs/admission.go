@@ -146,7 +146,7 @@ func clientKey(r *http.Request) string {
 
 // rejectRetryable writes a typed admission rejection: the status, a
 // Retry-After hint (rounded up to whole seconds, minimum 1), and the
-// HeaderRetryable marker the mediator's resilience stack keys on.
+// HeaderRetryable marker the mediator's writer keys its re-send delay on.
 func rejectRetryable(w http.ResponseWriter, status int, wait time.Duration, reason error) {
 	secs := int(wait / time.Second)
 	if wait%time.Second != 0 || secs < 1 {

@@ -78,8 +78,8 @@ const (
 	HeaderSaveID = "X-Privedit-Save-Id"
 	// HeaderRetryable marks a rejection the server considers transient —
 	// an admission-control 429/503 during rate limiting or drain. The
-	// mediator's resilience stack treats such responses as retry-worthy
-	// backpressure and honors the accompanying Retry-After hint.
+	// mediator's writer counts such a response in its failure streak and
+	// re-sends the save no sooner than the accompanying Retry-After hint.
 	HeaderRetryable = "X-Privedit-Retryable"
 	// HeaderClient carries the requester's self-declared client id, the
 	// key the server's per-client token-bucket rate limiter buckets by

@@ -8,9 +8,8 @@ import (
 
 // SpanName is the tracing companion of MetricName: every span started
 // through internal/trace (Start, Tracer.Root, Join) must use a
-// compile-time-constant snake_case name. The per-phase latency breakdown
-// in the bench artifacts and the /debug/traces ?root= filter both match
-// span names literally (trace.EditPhases, bench.AggregatePhases); a
+// compile-time-constant snake_case name. editbench's per-layer ledger
+// and the /debug/traces ?root= filter both match span names literally; a
 // dynamically built or CamelCase name would trace fine and silently fall
 // out of every aggregation. Test files are exempt so unit tests can spin
 // throwaway spans.

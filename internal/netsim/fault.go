@@ -12,9 +12,9 @@
 // request shape has been seen. Concurrent sessions editing *distinct*
 // documents therefore draw identical fault sequences run after run, no
 // matter how the scheduler interleaves them — which is what lets the chaos
-// harness pin byte-identical fault counts in a test. Partition windows are
-// the one wall-clock-driven fault; runs that need strict determinism leave
-// them empty.
+// gate (internal/e2e's TestChaosDistinctDocsUnderStorm) pin exact fault
+// counts. Partition windows are the one wall-clock-driven fault; runs that
+// need strict determinism leave them empty.
 package netsim
 
 import (
@@ -417,8 +417,8 @@ func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // annotateFault records an injected fault on the request's current trace
-// span (the mediator's retry or phase span), so a trace shows not just
-// that an attempt failed but which fault the simulated network injected.
+// span (the mediator's save, load or merge span), so a trace shows not just
+// that a send failed but which fault the simulated network injected.
 func annotateFault(req *http.Request, kind string) {
 	trace.Current(req.Context()).Annotate("fault", kind)
 }

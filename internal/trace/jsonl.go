@@ -9,8 +9,8 @@ import (
 )
 
 // JSONLWriter is a sink that appends each completed trace as one JSON
-// line to an io.Writer — the -trace-out format of privedit-edit and
-// privedit-load. Safe for concurrent use.
+// line to an io.Writer — the -trace-out format of privedit-edit. Safe
+// for concurrent use.
 type JSONLWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer

@@ -1,8 +1,8 @@
 // Package trace is the repository's request-scoped tracing layer: a
 // stdlib-only, context-propagated span tracer that attributes each edit
 // round trip to its phases — load, decrypt, diff, transform, encrypt,
-// save, retry, resync — across the client, mediator, resilience stack,
-// simulated network, and gdocs server.
+// enqueue, save, merge, resync — across the client, the mediator and its
+// writer, the simulated network, and the gdocs server.
 //
 // The design mirrors internal/obs: instrumented call sites are guarded by
 // one atomic load and cost a few nanoseconds while tracing is disabled
@@ -12,10 +12,11 @@
 // A trace is a tree of spans sharing one trace ID. Spans propagate through
 // context.Context in-process and through the X-Privedit-Trace header over
 // the wire (see http.go), so a client span tree contains the server-side
-// spans of every request it issued — including each resilience retry
-// attempt. Completed traces are delivered to registered sinks: the flight
-// recorder behind /debug/traces (recorder.go), JSONL export files
-// (jsonl.go), and the bench harness's phase aggregator.
+// spans of every request it issued; a save the writer re-sends is a trace
+// of its own, annotated with its failure streak. Completed traces are
+// delivered to registered sinks: the flight recorder behind /debug/traces
+// (recorder.go), JSONL export files (jsonl.go), and in-memory collectors
+// such as editbench's per-layer ledger.
 package trace
 
 import (
@@ -37,11 +38,11 @@ import (
 const Header = "X-Privedit-Trace"
 
 // Span names. Constants (not ad-hoc strings) so privedit-lint's span-name
-// rule can constant-fold and enforce the snake_case taxonomy, and so the
-// bench aggregator and DESIGN.md §12 share one vocabulary.
+// rule can constant-fold and enforce the snake_case taxonomy, and so
+// editbench's ledger and DESIGN.md §12 share one vocabulary.
 const (
-	// SpanEditOp is the per-operation root span opened by the load/chaos
-	// harnesses and interactive clients around one whole edit.
+	// SpanEditOp is the per-operation root span a driver opens around one
+	// whole edit (the traced row of internal/e2e's chaos gate does).
 	SpanEditOp = "edit_op"
 
 	// Client/mediator phases of an edit round trip.
@@ -67,13 +68,6 @@ const (
 	SpanServerStore   = "server_store"   // gdocs server store operation
 	SpanNetDelay      = "net_delay"      // netsim simulated link+server delay
 )
-
-// EditPhases lists the span names the bench harnesses aggregate into the
-// per-phase latency breakdown, in presentation order.
-var EditPhases = []string{
-	SpanLoad, SpanDecrypt, SpanDiff, SpanTransform,
-	SpanEncrypt, SpanEnqueue, SpanSave, SpanMerge, SpanResync,
-}
 
 // Telemetry about the tracer itself. No-ops until obs.Enable().
 var (
@@ -556,7 +550,7 @@ func (sp *Span) End() {
 // --------------------------------------------------------------- Collector
 
 // Collector is a sink that accumulates completed traces in memory, for
-// tests and the bench harnesses. Safe for concurrent use.
+// tests and editbench's ledger. Safe for concurrent use.
 type Collector struct {
 	mu     sync.Mutex
 	traces []Trace
